@@ -223,7 +223,7 @@ BENCHMARK(BM_EdgeSerializeRoundTrip);
 
 void BM_PartitionRoundTrip(benchmark::State& state) {
   TempDir dir("micro-partition");
-  PartitionStore store(dir.path(), nullptr);
+  PartitionStore store(dir.path());
   std::vector<EdgeRecord> edges;
   PathEncoding enc = InterprocEncoding();
   for (VertexId v = 0; v < 1000; ++v) {

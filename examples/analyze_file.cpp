@@ -18,15 +18,9 @@
 // (see src/ir/parser.h for the grammar); example files live in
 // examples/testdata/.
 //
-// Two post-mortem modes skip analysis entirely:
-//
-//   $ ./analyze_file --flightrec <work-dir>/flightrec.bin
-//   $ ./analyze_file --profile <work-dir>/profile.bin
-//
-// --flightrec decodes a flight-recorder crash dump (DESIGN.md §12) and
-// prints it as JSON — the same output as `grapple-flightrec --json`.
-// --profile decodes a sampling-profiler ledger (DESIGN.md §13) and prints
-// collapsed stacks — the same output as `grapple-prof --collapsed`.
+// Post-mortem decoding lives in tools/: `grapple-flightrec --json` for a
+// flight-recorder crash dump (DESIGN.md §12), `grapple-prof --collapsed`
+// for a sampling-profiler ledger (DESIGN.md §13).
 //
 // Exit codes: 0 no warnings, 1 warnings, 2 usage/parse error, 3 (--explain
 // only) a witness could not be decoded (witness_unavailable degradation) or
@@ -41,8 +35,6 @@
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
-#include "src/obs/event_log.h"
-#include "src/obs/profiler.h"
 
 namespace {
 
@@ -60,39 +52,10 @@ bool ReadFile(const char* path, std::string* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--flightrec") == 0) {
-    if (argc != 3) {
-      std::fprintf(stderr, "usage: %s --flightrec <flightrec.bin>\n", argv[0]);
-      return 2;
-    }
-    grapple::obs::FlightRecording recording;
-    std::string flightrec_error;
-    if (!grapple::obs::DecodeFlightRecording(argv[2], &recording, &flightrec_error)) {
-      std::fprintf(stderr, "%s: %s\n", argv[2], flightrec_error.c_str());
-      return 2;
-    }
-    std::printf("%s\n", grapple::obs::FlightRecordingToJson(recording).c_str());
-    return 0;
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "--profile") == 0) {
-    if (argc != 3) {
-      std::fprintf(stderr, "usage: %s --profile <profile.bin>\n", argv[0]);
-      return 2;
-    }
-    grapple::obs::ProfileData profile;
-    std::string profile_error;
-    if (!grapple::obs::DecodeProfile(argv[2], &profile, &profile_error)) {
-      std::fprintf(stderr, "%s\n", profile_error.c_str());
-      return 2;
-    }
-    std::fputs(grapple::obs::ProfileToCollapsed(profile).c_str(), stdout);
-    return 0;
-  }
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <program.grap> [io|lock|except|socket ...] [--fsm spec.fsm] "
-                 "[--stats] [--json] [--explain] [--work-dir dir] "
-                 "[--flightrec flightrec.bin] [--profile profile.bin]\n",
+                 "[--stats] [--json] [--explain] [--work-dir dir]\n",
                  argv[0]);
     return 2;
   }
@@ -105,7 +68,7 @@ int main(int argc, char** argv) {
   grapple::ParseResult parsed = grapple::ParseProgram(source);
   if (!parsed.ok) {
     std::fprintf(stderr, "%s: %s\n", argv[1], parsed.error.c_str());
-    return 1;
+    return 2;
   }
 
   std::vector<grapple::FsmSpec> specs;

@@ -26,8 +26,8 @@
 #   scripts/ci.sh profile    # sampling-profiler smoke: a profiled run of
 #                            # the example pipeline (GRAPPLE_PROFILE=on),
 #                            # profile.bin decoded via grapple-prof (table
-#                            # + --json round-trip) and analyze_file
-#                            # --profile (collapsed stacks), and the report
+#                            # + --json round-trip, then --collapsed
+#                            # stacks), and the report
 #                            # byte-compared against an unprofiled run
 #   scripts/ci.sh service    # grappled daemon smoke: ephemeral port, a
 #                            # two-tenant burst through grapple-client with
@@ -268,7 +268,7 @@ run_obs_smoke() {
 
 # Sampling-profiler smoke: one profiled run of the example pipeline, then
 # every consumer of profile.bin exercised — the grapple-prof table and
-# --json modes (the JSON must parse), analyze_file --profile (collapsed
+# --json modes (the JSON must parse), grapple-prof --collapsed (collapsed
 # stacks with at least one attributed frame), and finally the acceptance
 # criterion that profiling never changes results: the report JSON from the
 # profiled run must be byte-identical to an unprofiled one.
@@ -300,8 +300,8 @@ run_profile_smoke() {
   "${build_dir}/tools/grapple-prof" --json "${out_dir}/work-on/profile.bin" \
     > "${out_dir}/profile.json"
   python3 -m json.tool "${out_dir}/profile.json" > /dev/null
-  echo "==> [profile] collapsed stacks via analyze_file --profile"
-  "${build_dir}/examples/analyze_file" --profile \
+  echo "==> [profile] collapsed stacks via grapple-prof --collapsed"
+  "${build_dir}/tools/grapple-prof" --collapsed \
     "${out_dir}/work-on/profile.bin" > "${out_dir}/profile.collapsed"
   echo "==> [profile] profiled report identical; decoders agree"
 }

@@ -12,7 +12,6 @@
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
 #include "src/obs/sampler.h"
-#include "src/obs/trace.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
 #include "src/support/logging.h"
@@ -223,7 +222,6 @@ Grapple::Grapple(Program program, GrappleOptions options)
     }
     GRAPPLE_CHECK(false) << "invalid GrappleOptions: " << joined;
   }
-  obs::InitTracingFromEnv();
   // One scheduler for the whole session (see Scheduling's worker formula):
   // checker tasks, join shards, and I/O strands share these workers instead
   // of carving the machine into per-purpose pools.
@@ -245,7 +243,6 @@ Grapple::Grapple(Program program, GrappleOptions options)
   io_policy.backoff_base_us = static_cast<uint32_t>(std::max<int64_t>(
       0, EnvInt64("GRAPPLE_IO_BACKOFF_US", options_.robustness.backoff_base_us)));
   SetIoRetryPolicy(io_policy);
-  obs::ScopedSpan span("frontend", "phase");
   WallTimer timer;
   UnrollLoops(program_.get(), options_.precision.loop_unroll);
   call_graph_ = std::make_unique<CallGraph>(*program_);
@@ -398,12 +395,10 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
         options_.observability.witness == obs::WitnessMode::kFull;
     alias->engine =
         std::make_unique<GraphEngine>(&alias->grammar, alias->oracle.get(), engine_options);
-    auto alias_span = std::make_unique<obs::ScopedSpan>("alias_phase", "phase");
     alias->graph = std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_, alias->labels,
                                                alias->engine.get());
     alias->engine->Finalize(alias->graph->num_vertices());
     alias->engine->Run();
-    alias_span.reset();
     alias->stats.num_vertices = alias->graph->num_vertices();
     alias->stats.edges_before = alias->engine->stats().base_edges;
     alias->stats.edges_after = alias->engine->stats().final_edges;
@@ -442,7 +437,6 @@ CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, BudgetLease* lease,
   WallTimer checker_timer;
   CheckerRunResult checker_result;
   checker_result.checker = spec.fsm.name();
-  obs::ScopedSpan checker_span(obs::InternSpanName("typestate:" + spec.fsm.name()), "phase");
   uint32_t name_id = obs::EventLogInternString(spec.fsm.name());
   obs::ProfChecker prof_checker(name_id);
   evt::Emit(evt::kCheckerStart, name_id);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "src/obs/trace.h"
 #include "src/support/event_hook.h"
 
 namespace grapple {
@@ -101,7 +100,6 @@ SolveResult IntervalOracle::CheckEncodingLocked(const PathEncoding& enc, const s
 std::optional<std::vector<uint8_t>> IntervalOracle::MergeAndCheck(const uint8_t* a, size_t a_len,
                                                                   const uint8_t* b,
                                                                   size_t b_len) {
-  obs::ScopedSpan span("merge_check", "oracle");
   std::lock_guard<std::mutex> lock(mu_);
   metrics_.Add(c_merges_);
   WallTimer lookup_timer;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,7 +11,6 @@
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
-#include "src/obs/trace.h"
 #include "src/support/byte_io.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
@@ -136,6 +134,7 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_ckpt_written_(metrics_.Counter("ckpt_written_total")),
       c_ckpt_bytes_(metrics_.Counter("ckpt_bytes")),
       c_runs_resumed_(metrics_.Counter("runs_resumed_total")),
+      c_phase_join_ns_(metrics_.Counter("phase_join_ns")),
       owned_runtime_(options_.runtime != nullptr
                          ? nullptr
                          : std::make_unique<TaskRuntime>(TaskRuntimeOptions{
@@ -148,11 +147,10 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
                                ResolveStealPolicy(StealPolicy::kLocalityAware)})),
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
-      store_(options_.work_dir, &profiler_, &metrics_,
+      store_(options_.work_dir, &metrics_,
              PartitionStorePipeline{ResolveIoPipeline(options_.io_pipeline),
                                     options_.budget_lease, options_.memory_budget_bytes,
                                     runtime_}) {
-  obs::InitTracingFromEnv();
   obs::EventLogInstall();
   // Propose this engine's work dir as the crash-dump target; the Grapple
   // facade (when present) has already claimed the run work dir.
@@ -166,6 +164,7 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
   options_.checkpoint_min_spacing_seconds =
       ResolveCheckpointSpacing(options_.checkpoint_min_spacing_seconds);
   if (options_.checkpoint_interval > 0) {
+    c_phase_ckpt_ns_ = metrics_.Counter("phase_ckpt_ns");
     store_.SetCheckpointMode(true);
   }
   introspect_metrics_ = obs::Introspection::RegisterMetricsSource(
@@ -304,7 +303,6 @@ std::string EngineStats::ToString() const { return obs::RenderEngineSummary(metr
 void GraphEngine::Finalize(VertexId num_vertices) {
   GRAPPLE_CHECK(!finalized_);
   finalized_ = true;
-  obs::ScopedSpan span("finalize", "engine");
   WallTimer timer;
   index_ = std::make_unique<GraphEngineIndexHolder>();
   if (options_.checkpoint_interval > 0) {
@@ -454,9 +452,7 @@ bool GraphEngine::TryResume(VertexId num_vertices) {
 
 void GraphEngine::WriteCheckpoint() {
   fault::CrashPoint("ckpt_begin");
-  ScopedPhase ckpt_phase(&profiler_, "ckpt");
-  obs::ProfPhase prof_phase("ckpt");
-  obs::ScopedSpan span("checkpoint", "engine");
+  obs::ProfPhase ckpt_phase("ckpt", &metrics_, c_phase_ckpt_ns_);
   // Quiesce: every queued write must be on disk (well, in the page cache —
   // the threat model is process death, see checkpoint.h) before the
   // manifest that references those bytes is published.
@@ -501,7 +497,6 @@ void GraphEngine::WriteCheckpoint() {
 
 void GraphEngine::Run() {
   GRAPPLE_CHECK(finalized_) << "call Finalize before Run";
-  obs::ScopedSpan span("engine_run", "engine");
   evt::Emit(evt::kRunStart, store_.NumPartitions());
   bool timed_out = false;
   WallTimer timer;
@@ -576,8 +571,8 @@ void GraphEngine::Run() {
   metrics_.SetGauge("engine_num_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.SetGauge("engine_timed_out", timed_out ? 1.0 : 0.0);
-  // The registry (merged with phase timers and the oracle) is the source of
-  // truth; the legacy named fields become a view over it.
+  // The registry (merged with the oracle's) is the source of truth; the
+  // legacy named fields become a view over it.
   stats_.metrics = Metrics();
   stats_.SyncFromMetrics();
 }
@@ -605,10 +600,6 @@ bool GraphEngine::PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* 
 
 obs::MetricsSnapshot GraphEngine::Metrics() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  for (const auto& [name, seconds] : profiler_.Snapshot()) {
-    uint64_t nanos = seconds <= 0 ? 0 : static_cast<uint64_t>(std::llround(seconds * 1e9));
-    snapshot.counters[std::string(obs::kPhaseNsPrefix) + name + obs::kPhaseNsSuffix] += nanos;
-  }
   snapshot.Merge(oracle_->Metrics());
   // Process-wide robustness gauges (byte_io retries, fault shim). Gauges,
   // not counters: several engines in one process observe the same totals,
@@ -619,7 +610,6 @@ obs::MetricsSnapshot GraphEngine::Metrics() const {
 }
 
 void GraphEngine::ProcessPair(size_t pi, size_t pj) {
-  obs::ScopedSpan span("process_pair", "engine");
   metrics_.Add(c_pair_loads_);
   const PartitionInfo& info_i = store_.Info(pi);
   const PartitionInfo& info_j = store_.Info(pj);
@@ -640,8 +630,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   loaded.clear();
   loaded.shrink_to_fit();
 
-  ScopedPhase join_phase(&profiler_, "join");
-  obs::ProfPhase prof_join_phase("join");
+  obs::ProfPhase join_phase("join", &metrics_, c_phase_join_ns_);
   GraphEngineIndexHolder& index = *index_;
   const bool record_prov = provenance_ != nullptr;
   auto prov_edge_of = [](const LoadedPair::MemEdge& e) {
@@ -682,7 +671,6 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
 
   while (!frontier.empty()) {
     metrics_.Add(c_join_rounds_);
-    obs::ScopedSpan round_span("join_round", "engine");
     // --- parallel candidate generation ---
     // Shard count is pinned to the configured join parallelism, not to the
     // runtime's worker count: shards cover contiguous frontier ranges and
@@ -692,7 +680,6 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     std::vector<std::vector<Candidate>> shard_candidates(shards);
     std::atomic<uint64_t> joins{0};
     auto join_shard = [&](size_t shard, size_t begin, size_t end) {
-      obs::ScopedSpan shard_span("join_shard", "engine");
       auto& out = shard_candidates[shard];
       uint64_t local_joins = 0;
       for (size_t f = begin; f < end; ++f) {

@@ -99,7 +99,7 @@ struct EngineOptions {
 // named fields are a convenience view populated from the merged snapshot
 // when the engine finishes (plus mid-ingestion by Finalize), kept for
 // existing call sites. `metrics` carries the full snapshot — engine and
-// oracle counters, phase timer buckets as "phase_<name>_ns", histograms.
+// oracle counters, phase timers as "phase_<name>_ns", histograms.
 struct EngineStats {
   uint64_t base_edges = 0;
   uint64_t final_edges = 0;
@@ -118,7 +118,7 @@ struct EngineStats {
   OracleStats oracle;
   // "io" / "lookup" / "solve" / "join" buckets (Figure 9).
   std::map<std::string, double> phase_seconds;
-  // Full merged snapshot (engine registry + phase timers + oracle).
+  // Full merged snapshot (engine registry + oracle).
   obs::MetricsSnapshot metrics;
 
   // Rebuilds the named fields from `metrics` (counter names as in
@@ -189,8 +189,8 @@ class GraphEngine : public EdgeSink {
   // report alongside the recording-side counters.
   void ObserveWitnessDecode(uint64_t nanos);
 
-  // Merged metrics snapshot: engine registry (counters, io_*, gauges) +
-  // phase timer buckets (as "phase_<name>_ns") + the oracle's snapshot.
+  // Merged metrics snapshot: engine registry (counters, io_*, gauges,
+  // "phase_<name>_ns" timers) + the oracle's snapshot.
   // Valid any time; complete after Run().
   obs::MetricsSnapshot Metrics() const;
 
@@ -224,7 +224,6 @@ class GraphEngine : public EdgeSink {
   const Grammar* grammar_;
   ConstraintOracle* oracle_;
   EngineOptions options_;
-  PhaseProfiler profiler_;
   obs::MetricsRegistry metrics_;
   obs::MetricId c_base_edges_;
   obs::MetricId c_final_edges_;
@@ -244,6 +243,9 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_ckpt_written_;
   obs::MetricId c_ckpt_bytes_;
   obs::MetricId c_runs_resumed_;
+  obs::MetricId c_phase_join_ns_;
+  // Registered only when checkpointing is on.
+  obs::MetricId c_phase_ckpt_ns_ = obs::kInvalidMetric;
   // Scheduling. `owned_runtime_` is only set when the caller injected none;
   // `runtime_` is the one in use either way. Declared before store_ so the
   // store (whose strands run on the runtime) is destroyed first.

@@ -7,7 +7,6 @@
 
 #include "src/graph/partition_codec.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/support/event_hook.h"
 #include "src/support/logging.h"
 
@@ -20,10 +19,11 @@ constexpr uint64_t kMinCacheBytes = uint64_t{1} << 20;
 
 }  // namespace
 
-PartitionStore::PartitionStore(std::string dir, PhaseProfiler* profiler,
-                               obs::MetricsRegistry* metrics, PartitionStorePipeline pipeline)
-    : dir_(std::move(dir)), profiler_(profiler), metrics_(metrics), pipeline_(pipeline) {
+PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
+                               PartitionStorePipeline pipeline)
+    : dir_(std::move(dir)), metrics_(metrics), pipeline_(pipeline) {
   if (metrics_ != nullptr) {
+    c_phase_io_ns_ = metrics_->Counter("phase_io_ns");
     c_bytes_read_ = metrics_->Counter("io_bytes_read");
     c_bytes_written_ = metrics_->Counter("io_bytes_written");
     c_loads_ = metrics_->Counter("io_partition_loads_total");
@@ -127,9 +127,7 @@ void PartitionStore::DrainAll() {
 
 void PartitionStore::Sync() {
   if (runtime_ != nullptr) {
-    ScopedPhase phase(profiler_, "io");
-    obs::ProfPhase prof_phase("io");
-    obs::ScopedSpan span("io_sync", "io");
+    obs::ProfPhase phase("io", metrics_, c_phase_io_ns_);
     DrainAll();
   }
   ThrowIfIoError();
@@ -214,17 +212,15 @@ std::vector<EdgeRecord> PartitionStore::DecodeOrThrow(const std::string& path,
 }
 
 uint64_t PartitionStore::WriteOrQueue(const std::string& path, std::vector<EdgeRecord> edges,
-                                      bool rewrite, const char* span_name,
+                                      bool rewrite,
                                       std::shared_ptr<const std::vector<EdgeRecord>>* content) {
-  obs::ScopedSpan span(span_name, "io");
   if (!pipeline_.enabled) {
     // Only the synchronous fallback blocks on the file system, so only it
     // is charged to the foreground "io" phase. The pipelined handoff below
     // is queue bookkeeping (plus the wake of a parked worker, which on a
     // small machine is a preemption point that runs the flush) and stays
     // in whatever phase the caller is in.
-    ScopedPhase phase(profiler_, "io");
-    obs::ProfPhase prof_phase("io");
+    obs::ProfPhase phase("io", metrics_, c_phase_io_ns_);
     std::vector<uint8_t> buffer;
     for (const auto& edge : edges) {
       SerializeEdge(edge, &buffer);
@@ -256,8 +252,6 @@ uint64_t PartitionStore::WriteOrQueue(const std::string& path, std::vector<EdgeR
     ++pending_writes_[path];
   }
   Enqueue(path, TaskLane::kWriteBehind, [this, path, rewrite, edges = std::move(shared)] {
-    obs::ScopedSpan flush_span(rewrite ? "partition_flush_write" : "partition_flush_append",
-                               "io");
     std::vector<uint8_t> buffer;
     if (rewrite) {
       AppendBlockFileHeader(&buffer);
@@ -290,7 +284,7 @@ uint64_t PartitionStore::WriteOrQueue(const std::string& path, std::vector<EdgeR
 void PartitionStore::WriteEdges(const std::string& path, std::vector<EdgeRecord> edges,
                                 uint64_t* bytes,
                                 std::shared_ptr<const std::vector<EdgeRecord>>* content) {
-  *bytes = WriteOrQueue(path, std::move(edges), /*rewrite=*/true, "partition_write", content);
+  *bytes = WriteOrQueue(path, std::move(edges), /*rewrite=*/true, content);
   if (metrics_ != nullptr) {
     metrics_->Add(c_writes_);
   }
@@ -376,7 +370,6 @@ void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
   if (runtime_ == nullptr) {
     return;
   }
-  obs::ScopedSpan span("partition_hint", "io");
   for (size_t index : next_indices) {
     if (index >= partitions_.size()) {
       continue;
@@ -424,7 +417,6 @@ void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
     // ahead of write-behind backlog.
     Enqueue(info.path, TaskLane::kPrefetch,
             [this, path = info.path, version = info.version, edges_hint = info.edges] {
-      obs::ScopedSpan prefetch_span("partition_prefetch", "io");
       std::vector<uint8_t> bytes;
       bool read_ok = ReadFileBytes(path, &bytes);
       if (read_ok && metrics_ != nullptr) {
@@ -452,9 +444,7 @@ void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
 }
 
 std::vector<EdgeRecord> PartitionStore::Load(size_t index) {
-  ScopedPhase phase(profiler_, "io");
-  obs::ProfPhase prof_phase("io");
-  obs::ScopedSpan span("partition_load", "io");
+  obs::ProfPhase phase("io", metrics_, c_phase_io_ns_);
   ThrowIfIoError();
   const PartitionInfo& info = partitions_[index];
   if (runtime_ != nullptr) {
@@ -554,7 +544,7 @@ void PartitionStore::Append(size_t index, const std::vector<EdgeRecord>& edges) 
   }
   PartitionInfo& info = partitions_[index];
   InvalidateCache(info.path);
-  uint64_t bytes = WriteOrQueue(info.path, edges, /*rewrite=*/false, "partition_append");
+  uint64_t bytes = WriteOrQueue(info.path, edges, /*rewrite=*/false);
   if (metrics_ != nullptr) {
     metrics_->Add(c_appends_);
   }
@@ -567,7 +557,6 @@ void PartitionStore::Append(size_t index, const std::vector<EdgeRecord>& edges) 
 
 size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edges,
                                        uint64_t target_bytes) {
-  obs::ScopedSpan span("partition_split", "io");
   PartitionInfo original = partitions_[index];
   if (original.hi - original.lo <= 1) {
     Rewrite(index, edges);

@@ -44,7 +44,6 @@
 #include "src/obs/statusz.h"
 #include "src/support/budget_arbiter.h"
 #include "src/support/task_runtime.h"
-#include "src/support/timer.h"
 
 namespace grapple {
 
@@ -82,13 +81,12 @@ struct PartitionStorePipeline {
 
 class PartitionStore {
  public:
-  // `dir` must exist; `profiler` (optional) receives "io" time (foreground
-  // blocking time only — background worker time is deliberately excluded);
-  // `metrics` (optional) receives io_* counters (bytes and operation
-  // counts), which keep their on-disk meaning in both modes.
-  PartitionStore(std::string dir, PhaseProfiler* profiler,
-                 obs::MetricsRegistry* metrics = nullptr,
-                 PartitionStorePipeline pipeline = {});
+  // `dir` must exist; `metrics` (optional) receives io_* counters (bytes
+  // and operation counts), which keep their on-disk meaning in both modes,
+  // and "phase_io_ns" (foreground blocking time only — background worker
+  // time is deliberately excluded).
+  explicit PartitionStore(std::string dir, obs::MetricsRegistry* metrics = nullptr,
+                          PartitionStorePipeline pipeline = {});
   ~PartitionStore();
 
   // Creates the initial layout from base edges, targeting `target_bytes`
@@ -221,7 +219,6 @@ class PartitionStore {
   // the written edges, for the caller to install as a write-back cache
   // entry once it knows the new partition version.
   uint64_t WriteOrQueue(const std::string& path, std::vector<EdgeRecord> edges, bool rewrite,
-                        const char* span_name,
                         std::shared_ptr<const std::vector<EdgeRecord>>* content = nullptr);
   void WriteEdges(const std::string& path, std::vector<EdgeRecord> edges, uint64_t* bytes,
                   std::shared_ptr<const std::vector<EdgeRecord>>* content = nullptr);
@@ -256,8 +253,8 @@ class PartitionStore {
   void ThrowIfIoError();
 
   std::string dir_;
-  PhaseProfiler* profiler_;
   obs::MetricsRegistry* metrics_;
+  obs::MetricId c_phase_io_ns_ = obs::kInvalidMetric;
   obs::MetricId c_bytes_read_ = obs::kInvalidMetric;
   obs::MetricId c_bytes_written_ = obs::kInvalidMetric;
   obs::MetricId c_loads_ = obs::kInvalidMetric;

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "src/ir/validate.h"
+
 namespace grapple {
 
 namespace {
@@ -618,7 +620,17 @@ class Parser {
 
 ParseResult ParseProgram(const std::string& text) {
   Parser parser(text);
-  return parser.Run();
+  ParseResult result = parser.Run();
+  if (!result.ok) {
+    return result;
+  }
+  // The grammar admits programs the frontend cannot analyze soundly (e.g. a
+  // call with the wrong arity), so text input is validated here, once.
+  for (const ValidationIssue& issue : ValidateProgram(result.program)) {
+    result.ok = false;
+    result.error += (result.error.empty() ? "" : "; ") + issue.ToString();
+  }
+  return result;
 }
 
 }  // namespace grapple

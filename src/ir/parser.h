@@ -43,10 +43,11 @@ namespace grapple {
 
 struct ParseResult {
   bool ok = false;
-  std::string error;  // "line N: message" when !ok
+  std::string error;  // "line N: message", or ValidationIssue texts, when !ok
   Program program;
 };
 
+// Fails on syntax errors and on well-formedness issues (ir/validate.h).
 ParseResult ParseProgram(const std::string& text);
 
 }  // namespace grapple

@@ -1,8 +1,8 @@
 // Structural validation of IR programs.
 //
-// The parser guarantees well-formedness for text inputs, but programs can
-// also arrive through the builder API or generators; Grapple's frontend
-// assumes (and this pass checks) that:
+// ParseProgram runs this pass on every text input and rejects a program
+// with issues; programs built through the builder API or generators can run
+// it directly. Grapple's frontend assumes (and this pass checks) that:
 //   * every local reference is in range and kind-correct (object vs int),
 //   * loads/stores use object bases, events use object receivers,
 //   * calls to in-program methods pass the right number of arguments with

@@ -410,30 +410,6 @@ std::string EventLogTailJson(size_t max_events) {
   return w.Take();
 }
 
-std::string EventLogTailChromeTrace(size_t max_events) {
-  std::vector<FlightEvent> events = MergeTail(max_events);
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("traceEvents").BeginArray();
-  for (const FlightEvent& event : events) {
-    w.BeginObject();
-    w.Key("name").String(EventTypeName(event.type));
-    w.Key("cat").String("flightrec");
-    w.Key("ph").String("i");
-    w.Key("s").String("t");
-    w.Key("pid").Int(1);
-    w.Key("tid").Int(event.tid);
-    w.Key("ts").Double(static_cast<double>(event.ts_ns) / 1000.0);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.Key("otherData").BeginObject();
-  w.Key("source").String("grapple_flight_recorder");
-  w.EndObject();
-  w.EndObject();
-  return w.Take();
-}
-
 void EventLogSetCrashDumpPath(const std::string& path, bool only_if_unset) {
   LogState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);

@@ -1,6 +1,6 @@
 // Always-on flight recorder (DESIGN.md §12): per-thread lock-free ring
-// buffers of fixed-size binary events, merged on demand into a JSON or
-// Chrome-trace tail, and spilled to `flightrec.bin` on crash paths.
+// buffers of fixed-size binary events, merged on demand into a JSON tail,
+// and spilled to `flightrec.bin` on crash paths.
 //
 // Writers record through the support-layer hook (`evt::Emit`), which this
 // module installs itself behind via EventLogInstall(). The hot path is one
@@ -74,8 +74,6 @@ bool EventLogStringsSnapshot(std::vector<std::string>* out, bool try_only = fals
 std::vector<FlightEvent> EventLogTail(size_t max_events);
 // {"events":[{"ts_ns":..,"type":"pair_start","tid":..,...},...]}
 std::string EventLogTailJson(size_t max_events);
-// Chrome trace-viewer JSON: each event rendered as an instant ('i').
-std::string EventLogTailChromeTrace(size_t max_events);
 
 // Where crash paths spill the recorder. Empty disables the dump.
 // `only_if_unset` lets inner components (engines) propose a path without

@@ -1,5 +1,5 @@
 // Minimal JSON infrastructure for the observability layer: a streaming
-// writer (used by run reports, Chrome traces, and bug-report JSON) and a
+// writer (used by run reports, statusz pages, and bug-report JSON) and a
 // small DOM parser (used by golden tests and report tooling to validate
 // what we emit). No external dependencies.
 #ifndef GRAPPLE_SRC_OBS_JSON_H_

@@ -430,7 +430,11 @@ uint64_t SwapPair(ThreadProf* tp, uint64_t value) {
 using profiler_internal::CurrentThreadProf;
 using profiler_internal::ThreadProf;
 
-ProfPhase::ProfPhase(const char* name) {
+ProfPhase::ProfPhase(const char* name, MetricsRegistry* metrics, MetricId counter)
+    : metrics_(metrics), counter_(counter) {
+  if (metrics_ != nullptr) {
+    start_ns_ = profiler_internal::MonotonicNs();
+  }
   ThreadProf* tp = CurrentThreadProf();
   if (tp == nullptr) {
     return;
@@ -442,6 +446,9 @@ ProfPhase::ProfPhase(const char* name) {
 ProfPhase::~ProfPhase() {
   if (tp_ != nullptr) {
     profiler_internal::SwapPhase(tp_, prev_);
+  }
+  if (metrics_ != nullptr) {
+    metrics_->AddNanos(counter_, profiler_internal::MonotonicNs() - start_ns_);
   }
 }
 

@@ -19,9 +19,9 @@
 // (checker, phase, pair, wait kind) to sample count — which persists as
 // <work_dir>/profile.bin ("GPRF", versioned, length-prefixed, FNV-1a
 // checksummed; the checkpoint envelope discipline) and is exported as
-// collapsed-stack text for flamegraphs (analyze_file --profile,
-// tools/grapple-prof), as JSON on the /profilez statusz endpoint, and as
-// phase fractions stamped into every BENCH_*.json.
+// collapsed-stack text for flamegraphs (tools/grapple-prof), as JSON on the
+// /profilez statusz endpoint, and as phase fractions stamped into every
+// BENCH_*.json.
 //
 // Context ids are event-log string-table ids offset by one: 0 means "no
 // context", id-1 indexes the string table. Sampling is off by default;
@@ -35,6 +35,8 @@
 #include <map>
 #include <string>
 #include <vector>
+
+#include "src/obs/metrics.h"
 
 namespace grapple {
 namespace obs {
@@ -55,10 +57,14 @@ uint64_t SwapPair(ThreadProf* tp, uint64_t value);
 }  // namespace profiler_internal
 
 // RAII phase marker; `name` is interned into the event-log string table.
-// Nests: the previous phase is restored on destruction.
+// Nests: the previous phase is restored on destruction. When `metrics` is
+// given, the scope's elapsed wall time is also added (in ns) to its
+// `counter` — by convention "phase_<name>_ns" — whether or not the sampler
+// runs; that counter is the phase's time of record.
 class ProfPhase {
  public:
-  explicit ProfPhase(const char* name);
+  explicit ProfPhase(const char* name, MetricsRegistry* metrics = nullptr,
+                     MetricId counter = kInvalidMetric);
   ~ProfPhase();
   ProfPhase(const ProfPhase&) = delete;
   ProfPhase& operator=(const ProfPhase&) = delete;
@@ -66,6 +72,9 @@ class ProfPhase {
  private:
   profiler_internal::ThreadProf* tp_ = nullptr;
   uint32_t prev_ = 0;
+  MetricsRegistry* metrics_;
+  MetricId counter_;
+  uint64_t start_ns_ = 0;
 };
 
 // Sentinel for "no checker context". Accepted by ProfChecker (installs the
@@ -171,8 +180,8 @@ std::string ProfileToJson(const ProfileData& data);
 // with "(none)" for absent checker/phase frames. Lines sorted.
 std::string ProfileToCollapsed(const ProfileData& data);
 
-// Fraction of phase-tagged samples per phase name. The profiler-side
-// counterpart of PhaseProfiler::Fraction for fig9 cross-validation.
+// Fraction of phase-tagged samples per phase name. The sampled counterpart
+// of the "phase_<name>_ns" counters for fig9 cross-validation.
 std::map<std::string, double> ProfilePhaseFractions(const ProfileData& data);
 
 // Live-snapshot summary stamped into BENCH_*.json:

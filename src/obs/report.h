@@ -22,7 +22,8 @@ namespace grapple {
 namespace obs {
 
 // Counter names shared between the engine/oracle instrumentation and the
-// report renderers. Phase timer buckets fold in as kPhaseNsPrefix + name.
+// report renderers. Phase time counters are named
+// kPhaseNsPrefix + name + kPhaseNsSuffix (charged by obs::ProfPhase).
 inline constexpr char kPhaseNsPrefix[] = "phase_";
 inline constexpr char kPhaseNsSuffix[] = "_ns";
 

@@ -5,8 +5,6 @@
 #include <set>
 #include <vector>
 
-#include "src/obs/trace.h"
-
 namespace grapple {
 
 namespace {
@@ -299,7 +297,6 @@ const char* SolveResultName(SolveResult result) {
 }
 
 SolveResult Solver::Solve(const Constraint& constraint) {
-  obs::ScopedSpan span("solve", "solver");
   ++stats_.solves;
   System system;
   for (const auto& atom : constraint.atoms()) {

@@ -3,9 +3,6 @@
 //
 // Grapple reads:
 //   GRAPPLE_LOG_LEVEL        debug|info|warning|error|fatal (or 0..4)
-//   GRAPPLE_TRACE            path: enable span tracing, flush Chrome trace
-//                            JSON there at process exit
-//   GRAPPLE_TRACE_MAX_EVENTS per-thread span buffer cap (default 262144)
 //   GRAPPLE_METRICS          path ("-" = stdout): the Grapple facade writes
 //                            the machine-readable run report there
 //   GRAPPLE_REPORT_DIR       directory: every bench writes its

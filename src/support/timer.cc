@@ -2,133 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <functional>
-#include <thread>
 
 namespace grapple {
-
-namespace {
-
-// Stable per-thread stripe index; threads spread over stripes so concurrent
-// Adds to the same phase land on different cache lines.
-size_t ThreadStripe() {
-  thread_local const size_t stripe =
-      std::hash<std::thread::id>()(std::this_thread::get_id()) % PhaseProfiler::kStripes;
-  return stripe;
-}
-
-uint64_t SecondsToNanos(double seconds) {
-  if (seconds <= 0) {
-    return 0;
-  }
-  return static_cast<uint64_t>(std::llround(seconds * 1e9));
-}
-
-constexpr double kNanosPerSecond = 1e9;
-
-}  // namespace
-
-uint64_t PhaseProfiler::Bucket::TotalNanos() const {
-  uint64_t total = 0;
-  for (const Stripe& stripe : stripes) {
-    total += stripe.nanos.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-PhaseProfiler::Bucket* PhaseProfiler::Find(const std::string& phase) const {
-  size_t n = num_buckets_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    if (buckets_[i].name == phase) {
-      return &buckets_[i];
-    }
-  }
-  return nullptr;
-}
-
-PhaseProfiler::Bucket* PhaseProfiler::FindOrCreate(const std::string& phase) {
-  if (Bucket* found = Find(phase)) {
-    return found;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  // Re-check: another thread may have registered it while we waited.
-  if (Bucket* found = Find(phase)) {
-    return found;
-  }
-  size_t n = num_buckets_.load(std::memory_order_relaxed);
-  // Reserve the last slot for the overflow bucket so registration can never
-  // fail on the hot path.
-  if (n + 1 >= kMaxPhases && phase != "other") {
-    if (Bucket* other = Find("other")) {
-      return other;
-    }
-    buckets_[n].name = "other";
-    num_buckets_.store(n + 1, std::memory_order_release);
-    return &buckets_[n];
-  }
-  buckets_[n].name = phase;
-  num_buckets_.store(n + 1, std::memory_order_release);
-  return &buckets_[n];
-}
-
-void PhaseProfiler::Add(const std::string& phase, double seconds) {
-  uint64_t nanos = SecondsToNanos(seconds);
-  Bucket* bucket = FindOrCreate(phase);
-  bucket->stripes[ThreadStripe()].nanos.fetch_add(nanos, std::memory_order_relaxed);
-}
-
-double PhaseProfiler::Seconds(const std::string& phase) const {
-  const Bucket* bucket = Find(phase);
-  return bucket == nullptr ? 0.0 : static_cast<double>(bucket->TotalNanos()) / kNanosPerSecond;
-}
-
-std::map<std::string, double> PhaseProfiler::Snapshot() const {
-  std::map<std::string, double> out;
-  size_t n = num_buckets_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    out[buckets_[i].name] = static_cast<double>(buckets_[i].TotalNanos()) / kNanosPerSecond;
-  }
-  return out;
-}
-
-double PhaseProfiler::TotalSeconds() const {
-  uint64_t total = 0;
-  size_t n = num_buckets_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    total += buckets_[i].TotalNanos();
-  }
-  return static_cast<double>(total) / kNanosPerSecond;
-}
-
-double PhaseProfiler::Fraction(const std::string& phase) const {
-  uint64_t total = 0;
-  uint64_t wanted = 0;
-  size_t n = num_buckets_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t nanos = buckets_[i].TotalNanos();
-    total += nanos;
-    if (buckets_[i].name == phase) {
-      wanted = nanos;
-    }
-  }
-  return total == 0 ? 0.0 : static_cast<double>(wanted) / static_cast<double>(total);
-}
-
-void PhaseProfiler::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t n = num_buckets_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    for (Stripe& stripe : buckets_[i].stripes) {
-      stripe.nanos.store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-void PhaseProfiler::Merge(const PhaseProfiler& other) {
-  for (const auto& [name, secs] : other.Snapshot()) {
-    Add(name, secs);
-  }
-}
 
 std::string FormatDuration(double seconds) {
   if (seconds < 0.0) {

@@ -1,19 +1,12 @@
-// Wall-clock timing utilities and a named phase profiler.
-//
-// The phase profiler is how Grapple produces the Figure-9 style cost
-// breakdowns: worker threads accumulate time into named buckets ("io",
-// "decode", "solve", "join") and the engine reports per-bucket totals.
+// Wall-clock timing utilities. Named phase time (the Figure-9 style cost
+// breakdown) lives in the metrics registry as "phase_<name>_ns" counters,
+// charged by obs::ProfPhase scopes.
 #ifndef GRAPPLE_SRC_SUPPORT_TIMER_H_
 #define GRAPPLE_SRC_SUPPORT_TIMER_H_
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace grapple {
 
@@ -40,81 +33,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-// Accumulates wall time into named buckets. Thread-safe and lock-free on the
-// hot path: each bucket is striped into per-thread cache-line-aligned atomic
-// slots, so Add() is one relaxed fetch_add with no mutex and no cross-thread
-// cache-line ping-pong. The mutex is only taken to register a new phase name
-// and to snapshot.
-class PhaseProfiler {
- public:
-  // Distinct phase names per profiler; further names fold into "other".
-  static constexpr size_t kMaxPhases = 32;
-  // Stripes per bucket; threads hash onto stripes.
-  static constexpr size_t kStripes = 8;
-
-  void Add(const std::string& phase, double seconds);
-  void AddMicros(const std::string& phase, int64_t micros) {
-    Add(phase, static_cast<double>(micros) * 1e-6);
-  }
-
-  // Total accumulated seconds for one phase (0.0 if never recorded).
-  double Seconds(const std::string& phase) const;
-
-  // All phases with their totals, sorted by name.
-  std::map<std::string, double> Snapshot() const;
-
-  // Sum over all phases.
-  double TotalSeconds() const;
-
-  // Fraction (0..1) of the total attributed to `phase`; 0 when empty.
-  double Fraction(const std::string& phase) const;
-
-  void Reset();
-
-  // Merges another profiler's buckets into this one.
-  void Merge(const PhaseProfiler& other);
-
- private:
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> nanos{0};
-  };
-  struct Bucket {
-    std::string name;
-    std::array<Stripe, kStripes> stripes;
-    uint64_t TotalNanos() const;
-  };
-
-  // Lock-free lookup of a published bucket; nullptr when absent.
-  Bucket* Find(const std::string& phase) const;
-  // Registers `phase` (mutex) and returns its bucket; folds overflow into a
-  // reserved "other" bucket rather than failing.
-  Bucket* FindOrCreate(const std::string& phase);
-
-  mutable std::mutex mu_;  // registration and snapshot only
-  std::atomic<size_t> num_buckets_{0};
-  mutable std::array<Bucket, kMaxPhases> buckets_;
-};
-
-// RAII helper: adds the scope's elapsed time to a profiler bucket.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseProfiler* profiler, std::string phase)
-      : profiler_(profiler), phase_(std::move(phase)) {}
-  ~ScopedPhase() {
-    if (profiler_ != nullptr) {
-      profiler_->Add(phase_, timer_.ElapsedSeconds());
-    }
-  }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseProfiler* profiler_;
-  std::string phase_;
-  WallTimer timer_;
 };
 
 // Formats seconds as e.g. "01h06m15s", "51m49s", or "47s" to match the

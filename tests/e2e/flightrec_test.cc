@@ -116,8 +116,8 @@ TEST(FlightrecTest, CrashDumpIsWrittenAndDecodes) {
   for (size_t i = 1; i < recording.events.size(); ++i) {
     EXPECT_GE(recording.events[i].ts_ns, recording.events[i - 1].ts_ns);
   }
-  // The decoded dump renders as JSON (what grapple-flightrec --json and
-  // analyze_file --flightrec print).
+  // The decoded dump renders as JSON (what grapple-flightrec --json
+  // prints).
   std::string json = obs::FlightRecordingToJson(recording);
   EXPECT_NE(json.find("fault_injected"), std::string::npos);
   EXPECT_NE(json.find("crash_exit"), std::string::npos);

@@ -334,7 +334,7 @@ TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtSync) {
   TempDir dir("store-bgfail");
   PartitionStorePipeline pipeline;
   pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, nullptr, pipeline);
+  PartitionStore store(dir.path(), nullptr, pipeline);
   store.Initialize(SomeEdges(32), 40, 1 << 20);
   ASSERT_EQ(store.NumPartitions(), 1u);
   // Every write to a partition file now fails hard; the worker must record
@@ -356,7 +356,7 @@ TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtLoad) {
   TempDir dir("store-bgfail-load");
   PartitionStorePipeline pipeline;
   pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, nullptr, pipeline);
+  PartitionStore store(dir.path(), nullptr, pipeline);
   store.Initialize(SomeEdges(32), 40, 1 << 20);
   ASSERT_TRUE(fault::Configure("fail@write#1+:path=part-"));
   store.Rewrite(0, SomeEdges(16));

@@ -116,10 +116,10 @@ TEST_F(IoPipelineTest, EmptyWriteIsHeaderOnly) {
 TEST_F(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
   TempDir sync_dir("iopipe-sync");
   TempDir pipe_dir("iopipe-pipe");
-  PartitionStore sync_store(sync_dir.path(), nullptr);
+  PartitionStore sync_store(sync_dir.path());
   PartitionStorePipeline pipeline;
   pipeline.enabled = true;
-  PartitionStore pipe_store(pipe_dir.path(), nullptr, nullptr, pipeline);
+  PartitionStore pipe_store(pipe_dir.path(), nullptr, pipeline);
   ASSERT_TRUE(pipe_store.pipeline_enabled());
 
   auto drive = [](PartitionStore* store) {
@@ -173,7 +173,7 @@ TEST_F(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
   obs::MetricsRegistry metrics;
   PartitionStorePipeline pipeline;
   pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, &metrics, pipeline);
+  PartitionStore store(dir.path(), &metrics, pipeline);
   std::vector<EdgeRecord> base;
   for (VertexId v = 0; v < 64; ++v) {
     base.push_back(MakeEdge(v, v, 1, 64));
@@ -224,7 +224,7 @@ TEST_F(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
   PartitionStorePipeline pipeline;
   pipeline.enabled = true;
   pipeline.budget_lease = &lease;
-  PartitionStore store(dir.path(), nullptr, &metrics, pipeline);
+  PartitionStore store(dir.path(), &metrics, pipeline);
   // ~3 MB of edges in ~1 MB partitions: the cache (lease/4 = 1 MB) cannot
   // hold two partitions without growing the lease.
   std::vector<EdgeRecord> base;

@@ -100,7 +100,7 @@ TEST(PartitionCorruptionTest, TruncatedRawFileNamesOffsetOfBadRecord) {
 
 TEST(PartitionCorruptionTest, StoreLoadThrowsDiagnosticOnCorruptFile) {
   TempDir dir("corrupt-store");
-  PartitionStore store(dir.path(), nullptr);
+  PartitionStore store(dir.path());
   std::vector<EdgeRecord> edges = SampleEdges();
   store.Initialize(edges, 40, 1 << 20);
   ASSERT_EQ(store.NumPartitions(), 1u);

@@ -43,7 +43,7 @@ TEST(EdgeRecordTest, ContentHashDistinguishesPayloads) {
 
 class PartitionStoreTest : public ::testing::Test {
  protected:
-  PartitionStoreTest() : dir_("partition-test"), store_(dir_.path(), nullptr) {}
+  PartitionStoreTest() : dir_("partition-test"), store_(dir_.path()) {}
 
   TempDir dir_;
   PartitionStore store_;

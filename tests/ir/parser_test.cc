@@ -130,6 +130,18 @@ TEST(ParserTest, RejectsDuplicateLocal) {
   EXPECT_NE(result.error.find("duplicate"), std::string::npos);
 }
 
+// Well-formed syntax is not enough: ParseProgram also runs ValidateProgram,
+// so a call with the wrong arity fails with the validation issue.
+TEST(ParserTest, RejectsCallArityMismatch) {
+  ParseResult result = ParseProgram(
+      "method callee(obj t : T, int k) {\n  return\n}\n"
+      "method main() {\n  obj t : T\n  t = new T\n  call callee(t)\n  return\n}\n");
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("main:7: call to callee passes 1 args, expected 2"),
+            std::string::npos)
+      << result.error;
+}
+
 TEST(ParserTest, RejectsMissingBrace) {
   ParseResult result = ParseProgram("method m() { return ");
   EXPECT_FALSE(result.ok);

@@ -161,17 +161,6 @@ TEST(EventLogTest, TailJsonParsesAndNamesTypes) {
   EXPECT_TRUE(found);
 }
 
-TEST(EventLogTest, ChromeTraceTailIsValidJson) {
-  EventLogInstall();
-  evt::Emit(evt::kRunEnd, kTag | 11);
-  std::string error;
-  std::optional<JsonValue> doc = ParseJson(EventLogTailChromeTrace(64), &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  const JsonValue* events = doc->Find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  EXPECT_TRUE(events->IsArray());
-}
-
 TEST(EventLogTest, FlushAndDecodeRoundTrip) {
   EventLogInstall();
   // A string-carrying event: the sink interns the pointer at record time

@@ -185,7 +185,7 @@ TEST(ProfilerTest, WaitBracketsAttributeOffCpuTime) {
 
 // fig9 cross-validation: the profiler's phase fractions must agree with a
 // wall-clock stopwatch over the same run within 10 points (the acceptance
-// bound for agreeing with PhaseProfiler in the engine).
+// bound for agreeing with the engine's "phase_<name>_ns" counters).
 TEST(ProfilerTest, PhaseFractionsMatchStopwatch) {
   std::map<std::string, double> stopwatch;
   ProfileData data = ProfiledRun(500, [&] {

@@ -155,18 +155,54 @@ TEST_F(ReportEngineTest, SnapshotCountersMatchLegacyStats) {
   EXPECT_DOUBLE_EQ(m.SecondsOf("oracle_lookup_ns"), o.lookup_seconds);
   EXPECT_DOUBLE_EQ(m.SecondsOf("oracle_solve_ns"), o.solve_seconds);
 
-  // Phase timer buckets fold in as phase_<name>_ns and drive phase_seconds.
+  // phase_<name>_ns registry counters drive phase_seconds.
   for (const auto& [name, seconds] : stats.phase_seconds) {
     std::string counter = std::string(obs::kPhaseNsPrefix) + name + obs::kPhaseNsSuffix;
     EXPECT_NEAR(m.SecondsOf(counter), seconds, 1e-9) << counter;
   }
   EXPECT_GT(stats.phase_seconds.count("join"), 0u);
+  EXPECT_GT(stats.phase_seconds.count("io"), 0u);
+  // Checkpointing is off, so its counter is never registered.
+  EXPECT_EQ(m.counters.count("phase_ckpt_ns"), 0u);
 
   // The live Metrics() accessor agrees with the stored snapshot.
   EXPECT_EQ(engine.Metrics().CounterOr("engine_pair_loads_total"), stats.pair_loads);
 
   // An unsat composition happened and was counted on one side or the other.
   EXPECT_GT(stats.unsat_pruned + o.unsat, 0u);
+}
+
+// On a spilling run every phase counter is charged; phase_ckpt_ns exists
+// only when checkpointing is on.
+TEST_F(ReportEngineTest, PhaseCountersChargeIoJoinAndCheckpoint) {
+  for (uint32_t interval : {0u, 1u}) {
+    SCOPED_TRACE("checkpoint_interval=" + std::to_string(interval));
+    TempDir dir("report-phases");
+    IntervalOracle oracle(&icfet_);
+    EngineOptions options;
+    options.work_dir = dir.path();
+    options.memory_budget_bytes = 4096;
+    options.checkpoint_interval = interval;
+    options.checkpoint_min_spacing_seconds = 0;
+    GraphEngine engine(&grammar_, &oracle, options);
+    constexpr VertexId kChain = 16;
+    for (VertexId v = 0; v < kChain; ++v) {
+      engine.AddBaseEdge(v, v + 1, edge_, PathEncoding::Empty());
+    }
+    engine.Finalize(kChain + 1);
+    engine.Run();
+
+    const MetricsSnapshot& m = engine.stats().metrics;
+    EXPECT_GT(engine.stats().peak_partitions, 1u);
+    EXPECT_GT(m.CounterOr("phase_io_ns"), 0u);
+    EXPECT_GT(m.CounterOr("phase_join_ns"), 0u);
+    if (interval == 0) {
+      EXPECT_EQ(m.counters.count("phase_ckpt_ns"), 0u);
+    } else {
+      EXPECT_GT(m.CounterOr("ckpt_written_total"), 0u);
+      EXPECT_GT(m.CounterOr("phase_ckpt_ns"), 0u);
+    }
+  }
 }
 
 TEST_F(ReportEngineTest, RunReportJsonParsesAndMatchesSnapshot) {

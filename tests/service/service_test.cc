@@ -21,6 +21,7 @@
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
+#include "src/obs/json.h"
 
 namespace grapple {
 namespace {
@@ -38,6 +39,18 @@ constexpr char kLeaky[] = R"(
     return
   }
 )";
+
+// kLeaky plus `fillers` uncalled methods with one loop each: a subject
+// whose one-time frontend (unrolling, call graph, ICFET) takes milliseconds.
+std::string SubjectWithFillers(int fillers) {
+  std::string text = kLeaky;
+  for (int i = 0; i < fillers; ++i) {
+    text += "method filler" + std::to_string(i) +
+            "() {\n  int a\n  int b\n  a = ?\n  b = 0\n"
+            "  while (a > b) {\n    b = b + 1\n  }\n  return\n}\n";
+  }
+  return text;
+}
 
 // Blocking HTTP/1.0 round trip; returns false on connect/reset.
 bool RoundTrip(int port, const std::string& request, std::string* response) {
@@ -127,7 +140,23 @@ TEST_F(ServiceTest, RejectsMalformedCheckRequests) {
   ASSERT_TRUE(RoundTrip(port_, CheckRequest("", "not a program"), &response));
   EXPECT_EQ(StatusOf(response), 400);
   EXPECT_NE(BodyOf(response).find("parse error"), std::string::npos);
-  EXPECT_EQ(service_->Stats().errors, 4u);
+  // Subject that parses but is ill-formed: a call with the wrong arity.
+  constexpr char kBadArity[] = R"(
+    method use(obj f : FileWriter, int k) {
+      return
+    }
+    method main() {
+      obj f : FileWriter
+      f = new FileWriter
+      call use(f)
+      return
+    }
+  )";
+  ASSERT_TRUE(RoundTrip(port_, CheckRequest("", kBadArity), &response));
+  EXPECT_EQ(StatusOf(response), 400);
+  EXPECT_NE(BodyOf(response).find("passes 1 args, expected 2"), std::string::npos)
+      << BodyOf(response);
+  EXPECT_EQ(service_->Stats().errors, 5u);
 }
 
 // The service's core contract: with fields=reports the body is
@@ -177,6 +206,32 @@ TEST_F(ServiceTest, EnvelopeCarriesServiceMetadataAndRunReport) {
   ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0", kLeaky), &second));
   EXPECT_NE(BodyOf(second).find("\"warm\":true"), std::string::npos);
   EXPECT_NE(BodyOf(second).find("\"session_checks\":2"), std::string::npos);
+}
+
+// check_seconds times this request's Check alone. The run report's
+// total_seconds also counts the session's one-time frontend, which a warm
+// request did not run, so the two must differ by about frontend_seconds.
+TEST_F(ServiceTest, WarmCheckSecondsExcludesSessionFrontend) {
+  StartService(ServiceOptions{});
+  std::string subject = SubjectWithFillers(1000);
+  std::string response;
+  ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0", subject), &response));
+  ASSERT_EQ(StatusOf(response), 200);
+  ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0", subject), &response));
+  ASSERT_EQ(StatusOf(response), 200);
+  EXPECT_NE(BodyOf(response).find("\"warm\":true"), std::string::npos);
+  std::string error;
+  std::optional<obs::JsonValue> doc = obs::ParseJson(BodyOf(response), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const obs::JsonValue* report = doc->Find("report");
+  ASSERT_NE(report, nullptr);
+  double check = doc->NumberOr("check_seconds", -1);
+  double frontend = report->NumberOr("frontend_seconds", -1);
+  double total = report->NumberOr("total_seconds", -1);
+  ASSERT_GT(frontend, 0);
+  EXPECT_GT(check, 0);
+  EXPECT_LT(check, total - frontend / 2)
+      << "check=" << check << " frontend=" << frontend << " total=" << total;
 }
 
 // Sessions are per tenant even for identical subjects: isolation beats

@@ -153,21 +153,6 @@ TEST(TaskRuntimeTest, DestructorDrainsSubmittedTasks) {
   EXPECT_EQ(count.load(), 50);
 }
 
-TEST(PhaseProfilerTest, AccumulatesAndFractions) {
-  PhaseProfiler profiler;
-  profiler.Add("io", 1.0);
-  profiler.Add("io", 2.0);
-  profiler.Add("solve", 1.0);
-  EXPECT_DOUBLE_EQ(profiler.Seconds("io"), 3.0);
-  EXPECT_DOUBLE_EQ(profiler.TotalSeconds(), 4.0);
-  EXPECT_DOUBLE_EQ(profiler.Fraction("io"), 0.75);
-  EXPECT_DOUBLE_EQ(profiler.Fraction("missing"), 0.0);
-  PhaseProfiler other;
-  other.Add("io", 1.0);
-  profiler.Merge(other);
-  EXPECT_DOUBLE_EQ(profiler.Seconds("io"), 4.0);
-}
-
 TEST(TimerTest, FormatDurationMatchesPaperStyle) {
   EXPECT_EQ(FormatDuration(47), "47s");
   EXPECT_EQ(FormatDuration(51 * 60 + 49), "51m49s");
