@@ -27,13 +27,22 @@ inline double ScaleFromEnv(double default_scale) {
   return scale > 0 ? scale : default_scale;
 }
 
+// Where every GrappleOptions a bench builds starts: the defaults with the
+// GRAPPLE_* option knobs applied (ApplyEnvOverrides). A/B sections then set
+// their own field per arm, and that field wins.
+inline GrappleOptions BenchOptions() {
+  GrappleOptions options;
+  ApplyEnvOverrides(&options);
+  return options;
+}
+
 struct SubjectRun {
   Workload workload;
   GrappleResult result;
 };
 
 inline SubjectRun RunSubject(const WorkloadConfig& config,
-                             GrappleOptions options = GrappleOptions()) {
+                             const GrappleOptions& options = BenchOptions()) {
   SubjectRun run;
   run.workload = GenerateWorkload(config);
   Program program = run.workload.program;  // keep a copy with the workload

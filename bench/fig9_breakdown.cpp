@@ -20,7 +20,7 @@ void Report(const char* title, uint32_t solve_latency_us, double scale, const ch
   PrintHeaderLine(title);
   std::printf("%-11s %8s %10s %9s %12s\n", "Subject", "I/O", "lookup", "SMT", "edge-comp");
   for (const auto& preset : AllPresets(scale)) {
-    GrappleOptions options;
+    GrappleOptions options = BenchOptions();
     options.engine.simulated_solve_latency_us = solve_latency_us;
     SubjectRun run = RunSubject(preset, options);
     CostBreakdown b = BreakdownOf(run.result);

@@ -117,7 +117,7 @@ int main() {
                    parsed.error.c_str());
       return 1;
     }
-    Grapple analyzer(std::move(parsed.program));
+    Grapple analyzer(std::move(parsed.program), BenchOptions());
     GrappleResult result = analyzer.Check(AllBuiltinCheckers());
     std::vector<BugReport> all_reports;
     for (const auto& checker : result.checkers) {
@@ -129,6 +129,7 @@ int main() {
   }
 
   ServiceOptions options;
+  options.session = BenchOptions();
   options.worker_threads = 4;
   options.checker_slots = 2;
   GrappleService service(options);

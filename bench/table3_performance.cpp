@@ -17,7 +17,6 @@
 #include "src/obs/profiler.h"
 #include "src/obs/sampler.h"
 #include "src/support/byte_io.h"
-#include "src/support/env.h"
 
 namespace grapple {
 namespace {
@@ -87,7 +86,7 @@ WorkloadConfig SchedulerSubject(double scale) {
 // on single-core CI runners.
 void RunSchedulerSpeedup(obs::BenchReport* bench, const WorkloadConfig& preset) {
   size_t parallelism = EnvSize("GRAPPLE_CHECKER_PARALLELISM", 4);
-  GrappleOptions options;
+  GrappleOptions options = BenchOptions();
   options.engine.simulated_solve_latency_us =
       static_cast<uint32_t>(EnvSize("GRAPPLE_SCHED_SOLVE_US", 500));
   options.engine.simulated_solve_blocks = true;
@@ -161,15 +160,8 @@ void RunSchedulerSpeedup(obs::BenchReport* bench, const WorkloadConfig& preset) 
 // run genuinely spills: partitions split, deltas append, and the fixpoint
 // sweep re-loads partitions pair after pair — exactly the access pattern
 // the pipeline targets. Reports must be byte-identical across modes.
-// GRAPPLE_IO_PIPELINE overrides the option outright at engine construction,
-// so it is unset around both runs and restored afterwards.
 void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  const char* env = std::getenv("GRAPPLE_IO_PIPELINE");
-  bool had_env = env != nullptr;
-  std::string saved_env = had_env ? env : "";
-  unsetenv("GRAPPLE_IO_PIPELINE");
-
-  GrappleOptions options;
+  GrappleOptions options = BenchOptions();
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
   Workload workload = GenerateWorkload(preset);
 
@@ -197,9 +189,6 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
 
   ModeRun off = run_mode(false);
   ModeRun on = run_mode(true);
-  if (had_env) {
-    setenv("GRAPPLE_IO_PIPELINE", saved_env.c_str(), 1);
-  }
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double io_speedup = on.io_seconds > 0 ? off.io_seconds / on.io_seconds : 0;
@@ -264,15 +253,8 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
 // gauges are the overlap ratio (store I/O executed on background lanes
 // rather than blocking the foreground) and the steal efficiency (affine
 // tasks that ran on their home worker despite stealing being enabled).
-// GRAPPLE_STEAL overrides the policy outright, so it is unset around both
-// runs and restored afterwards.
 void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  const char* env = std::getenv("GRAPPLE_STEAL");
-  bool had_env = env != nullptr;
-  std::string saved_env = had_env ? env : "";
-  unsetenv("GRAPPLE_STEAL");
-
-  GrappleOptions options;
+  GrappleOptions options = BenchOptions();
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
   options.scheduling.num_threads = 2;
   Workload workload = GenerateWorkload(preset);
@@ -299,9 +281,6 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
 
   ModeRun pinned = run_mode(StealPolicy::kPinned);
   ModeRun unified = run_mode(StealPolicy::kLocalityAware);
-  if (had_env) {
-    setenv("GRAPPLE_STEAL", saved_env.c_str(), 1);
-  }
 
   bool identical = ReportFingerprint(pinned.result) == ReportFingerprint(unified.result);
   double speedup =
@@ -363,23 +342,8 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
 // "ckpt" phase (quiesce + encode + fsync + rename + GC), which must stay
 // under 5% — the wall-clock A/B delta is recorded alongside but jitters too
 // much at smoke scale to gate. Reports must be byte-identical across modes.
-// GRAPPLE_CHECKPOINT / GRAPPLE_CHECKPOINT_INTERVAL override the option at
-// engine construction, so both are unset around the runs and restored.
 void RunCheckpointOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
-  const char* saved_names[] = {"GRAPPLE_CHECKPOINT", "GRAPPLE_CHECKPOINT_INTERVAL",
-                               "GRAPPLE_CHECKPOINT_SPACING"};
-  std::string saved_values[3];
-  bool had_env[3] = {false, false, false};
-  for (int i = 0; i < 3; ++i) {
-    const char* env = std::getenv(saved_names[i]);
-    if (env != nullptr) {
-      had_env[i] = true;
-      saved_values[i] = env;
-      unsetenv(saved_names[i]);
-    }
-  }
-
-  GrappleOptions options;
+  GrappleOptions options = BenchOptions();
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
   Workload workload = GenerateWorkload(preset);
 
@@ -409,11 +373,6 @@ void RunCheckpointOverhead(obs::BenchReport* bench, const WorkloadConfig& preset
 
   ModeRun off = run_mode(0);
   ModeRun on = run_mode(kDefaultCheckpointInterval);
-  for (int i = 0; i < 3; ++i) {
-    if (had_env[i]) {
-      setenv(saved_names[i], saved_values[i].c_str(), 1);
-    }
-  }
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double phase_fraction = on.total_seconds > 0 ? on.ckpt_seconds / on.total_seconds : 0;
@@ -465,7 +424,7 @@ void RunCheckpointOverhead(obs::BenchReport* bench, const WorkloadConfig& preset
 // clamped at zero: a "negative overhead" is jitter, not a speedup.
 void RunObsOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   Workload workload = GenerateWorkload(preset);
-  GrappleOptions options;
+  GrappleOptions options = BenchOptions();
 
   struct ModeRun {
     GrappleResult result;
@@ -538,32 +497,19 @@ void RunObsOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
 // clamped at zero like obs_overhead: negative deltas are jitter.
 void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   Workload workload = GenerateWorkload(preset);
-
-  // The env knobs would force both arms the same way; measure the option
-  // paths and restore the caller's environment afterwards.
-  const char* saved_names[2] = {"GRAPPLE_PROFILE", "GRAPPLE_PROFILE_HZ"};
-  std::string saved_values[2];
-  bool had_env[2] = {false, false};
-  for (int i = 0; i < 2; ++i) {
-    const char* value = std::getenv(saved_names[i]);
-    if (value != nullptr) {
-      had_env[i] = true;
-      saved_values[i] = value;
-      unsetenv(saved_names[i]);
-    }
-  }
+  GrappleOptions options = BenchOptions();
 
   struct ModeRun {
     GrappleResult result;
     double total_seconds = 0;
   };
   auto run_mode = [&](bool profile_on) {
-    GrappleOptions options;
-    options.observability.profile = profile_on;
+    GrappleOptions mode_options = options;
+    mode_options.observability.profile = profile_on;
     Program program = workload.program;
     ModeRun run;
     WallTimer timer;
-    Grapple grapple(std::move(program), options);
+    Grapple grapple(std::move(program), mode_options);
     run.result = grapple.Check(AllBuiltinCheckers());
     run.total_seconds = timer.ElapsedSeconds();
     return run;
@@ -579,11 +525,6 @@ void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   if (report_dir != nullptr && prof.total_samples > 0) {
     obs::ProfilerWriteFile(std::string(report_dir) + "/profile.bin");
   }
-  for (int i = 0; i < 2; ++i) {
-    if (had_env[i]) {
-      setenv(saved_names[i], saved_values[i].c_str(), 1);
-    }
-  }
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double wall_delta = off.total_seconds > 0 ? on.total_seconds / off.total_seconds - 1.0 : 0;
@@ -598,7 +539,7 @@ void RunProfOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
               prof.total_samples, prof.dropped_samples, identical ? "yes" : "NO");
   std::printf("overhead is the wall-time cost of SIGPROF sampling + ring harvesting at\n");
   std::printf("%u Hz (gated < 2%% from scale 1.0; raw A/B delta %+.1f%%).\n",
-              kDefaultProfileHz, 100.0 * wall_delta);
+              options.observability.profile_hz, 100.0 * wall_delta);
 
   obs::RunReport report;
   report.subject = "prof_overhead";
@@ -643,7 +584,7 @@ int Main() {
   std::printf("edge count grows substantially during computation (#EA >> #EB).\n");
   std::printf("prov(MB) is the witness-provenance log written out-of-core per subject\n");
   std::printf("(GRAPPLE_WITNESS=%s; set GRAPPLE_WITNESS=off to measure without it).\n",
-              obs::WitnessModeName(obs::WitnessModeFromEnv()));
+              obs::WitnessModeName(BenchOptions().observability.witness));
   RunSchedulerSpeedup(&bench, SchedulerSubject(scale));
   RunIoPipelineComparison(&bench, ZooKeeperPreset(scale));
   RunTaskRuntimeAb(&bench, ZooKeeperPreset(scale));

@@ -38,13 +38,13 @@ int Main() {
   std::printf("%-11s %12s %12s %8s %10s %10s %8s\n", "Subject", "#Const", "#Hits", "Rate",
               "TOC(s)", "TWC(s)", "Saving");
   for (const auto& preset : AllPresets(scale)) {
-    GrappleOptions no_cache;
+    GrappleOptions no_cache = BenchOptions();
     no_cache.engine.enable_cache = false;
     SubjectRun cold = RunSubject(preset, no_cache);
     CacheRunStats toc = StatsOf(cold.result);
     AddSubject(&bench, preset.name + ":no_cache", cold.result);
 
-    GrappleOptions with_cache;
+    GrappleOptions with_cache = BenchOptions();
     with_cache.engine.enable_cache = true;
     SubjectRun warm = RunSubject(preset, with_cache);
     CacheRunStats twc = StatsOf(warm.result);

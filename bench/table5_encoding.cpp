@@ -45,9 +45,12 @@ PhaseRun RunAliasPhase(const Program& input, bool explicit_codec, uint64_t budge
   std::vector<std::string> fields = {"data", "stream"};
   PointsToLabels labels = BuildPointsToGrammar(&grammar, fields);
   TempDir dir("table5");
+  GrappleOptions bench_options = BenchOptions();
   EngineOptions options;
   options.work_dir = dir.path();
   options.memory_budget_bytes = budget;
+  options.io_pipeline = bench_options.engine.io_pipeline;
+  options.num_threads = bench_options.scheduling.num_threads;
   options.max_seconds = cap_seconds;
   std::unique_ptr<ConstraintOracle> oracle;
   if (explicit_codec) {

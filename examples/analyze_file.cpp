@@ -18,13 +18,18 @@
 // (see src/ir/parser.h for the grammar); example files live in
 // examples/testdata/.
 //
+// The GRAPPLE_* option knobs (see ApplyEnvOverrides in src/core/grapple.h)
+// apply on top of the defaults and the flags, and the result is validated
+// before any analysis runs. GRAPPLE_METRICS=<path> writes the run report
+// (schema grapple.run_report.v1) there after the run.
+//
 // Post-mortem decoding lives in tools/: `grapple-flightrec --json` for a
 // flight-recorder crash dump (DESIGN.md §12), `grapple-prof --collapsed`
 // for a sampling-profiler ledger (DESIGN.md §13).
 //
-// Exit codes: 0 no warnings, 1 warnings, 2 usage/parse error, 3 (--explain
-// only) a witness could not be decoded (witness_unavailable degradation) or
-// a checker run was degraded by an I/O failure.
+// Exit codes: 0 no warnings, 1 warnings, 2 usage/parse/option error, 3
+// (--explain only) a witness could not be decoded (witness_unavailable
+// degradation) or a checker run was degraded by an I/O failure.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -35,6 +40,7 @@
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
+#include "src/support/env.h"
 
 namespace {
 
@@ -124,15 +130,29 @@ int main(int argc, char** argv) {
     specs = grapple::AllBuiltinCheckers();
   }
 
+  grapple::GrappleOptions options;
+  options.work_dir = work_dir;
+  grapple::ApplyEnvOverrides(&options);
+  std::vector<std::string> option_errors = options.Validate();
+  if (!option_errors.empty()) {
+    for (const auto& error : option_errors) {
+      std::fprintf(stderr, "invalid option: %s\n", error.c_str());
+    }
+    return 2;
+  }
+
   // In --json mode stdout carries only the JSON document; chatter goes to
   // stderr so the output can be piped or archived directly.
   std::FILE* chatter = print_json ? stderr : stdout;
   std::fprintf(chatter, "analyzing %s (%zu methods, %zu statements)\n", argv[1],
                parsed.program.NumMethods(), parsed.program.TotalStatements());
-  grapple::GrappleOptions options;
-  options.work_dir = work_dir;
   grapple::Grapple analyzer(std::move(parsed.program), options);
   grapple::GrappleResult result = analyzer.Check(specs);
+  if (const char* metrics_path = grapple::EnvRaw("GRAPPLE_METRICS")) {
+    if (!grapple::obs::WriteTextFile(metrics_path, result.report.ToJson())) {
+      std::fprintf(stderr, "failed to write run report to %s\n", metrics_path);
+    }
+  }
 
   size_t total = 0;
   bool degraded = false;

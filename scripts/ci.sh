@@ -13,7 +13,9 @@
 #                            # at a checkpoint crash point (simulated kill
 #                            # -9), resume it, and require byte-identical
 #                            # report JSON; plus the full in-tree crash
-#                            # sweep (recovery_test)
+#                            # sweep (recovery_test), and a check that
+#                            # GRAPPLE_CHECKPOINT=on without --work-dir
+#                            # exits 2 naming the invalid option
 #   scripts/ci.sh soak       # recovery soak: repeated kill -9 at every
 #                            # registered crash point and escalating
 #                            # ordinals against the example pipeline, each
@@ -145,6 +147,16 @@ run_recovery() {
   recovery_run 1 "" "${scratch}/resumed.json" "${scratch}/work-crash" > /dev/null
   cmp "${scratch}/ref.json" "${scratch}/resumed.json"
   echo "==> [recovery] resumed report byte-identical to the uninterrupted run"
+  echo "==> [recovery] checkpointing without --work-dir is refused (exit 2)"
+  local status=0
+  GRAPPLE_CHECKPOINT=on "${build_dir}/examples/analyze_file" \
+    "${repo_root}/examples/testdata/leaky.grap" --json \
+    > /dev/null 2> "${scratch}/no-work-dir.err" || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "recovery: GRAPPLE_CHECKPOINT=on without --work-dir exited ${status}, want 2" >&2
+    return 1
+  fi
+  grep -q 'robustness.checkpoint_interval' "${scratch}/no-work-dir.err"
 }
 
 # Recovery soak (nightly): kill -9 at every registered crash point, at

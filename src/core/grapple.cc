@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <unordered_set>
+#include <utility>
 
 #include "src/cfg/loop_unroll.h"
 #include "src/grammar/pointsto_grammar.h"
@@ -147,6 +150,65 @@ std::vector<std::string> GrappleOptions::Validate() const {
   return errors;
 }
 
+namespace {
+
+// `value` as a T. One that T cannot hold (a negative count, say) becomes
+// T's maximum, which is out of every range Validate() checks.
+template <typename T>
+T FitOrMax(int64_t value) {
+  return std::in_range<T>(value) ? static_cast<T>(value) : std::numeric_limits<T>::max();
+}
+
+// An unset or malformed variable leaves *field as it is.
+template <typename T>
+void OverrideInteger(const char* name, T* field) {
+  *field = FitOrMax<T>(EnvInt64(name, static_cast<int64_t>(*field)));
+}
+
+}  // namespace
+
+void ApplyEnvOverrides(GrappleOptions* options) {
+  if (int64_t threads = EnvInt64("GRAPPLE_THREADS", 0); threads > 0) {
+    options->scheduling.num_threads = FitOrMax<size_t>(threads);
+  }
+  if (const char* steal = EnvRaw("GRAPPLE_STEAL")) {
+    ParseStealPolicy(steal, &options->scheduling.steal_policy);
+  }
+  options->engine.io_pipeline = EnvBool("GRAPPLE_IO_PIPELINE", options->engine.io_pipeline);
+
+  GrappleOptions::Observability& observability = options->observability;
+  if (const char* witness = EnvRaw("GRAPPLE_WITNESS")) {
+    if (!obs::ParseWitnessMode(witness, &observability.witness)) {
+      GRAPPLE_LOG(WARNING) << "unrecognized GRAPPLE_WITNESS value '" << witness
+                           << "' (want off|bugs|full); using "
+                           << obs::WitnessModeName(observability.witness);
+    }
+  }
+  OverrideInteger("GRAPPLE_EVENTLOG_EVENTS", &observability.event_log_capacity);
+  OverrideInteger("GRAPPLE_SAMPLE_INTERVAL_MS", &observability.sample_interval_ms);
+  OverrideInteger("GRAPPLE_STATUSZ", &observability.statusz_port);
+  observability.profile = EnvBool("GRAPPLE_PROFILE", observability.profile);
+  OverrideInteger("GRAPPLE_PROFILE_HZ", &observability.profile_hz);
+
+  GrappleOptions::Robustness& robustness = options->robustness;
+  OverrideInteger("GRAPPLE_IO_RETRIES", &robustness.max_io_retries);
+  OverrideInteger("GRAPPLE_IO_BACKOFF_US", &robustness.backoff_base_us);
+  if (int64_t interval = EnvInt64("GRAPPLE_CHECKPOINT_INTERVAL", 0); interval > 0) {
+    robustness.checkpoint_interval = FitOrMax<uint32_t>(interval);
+  } else if (!EnvBool("GRAPPLE_CHECKPOINT", robustness.checkpoint_interval > 0)) {
+    robustness.checkpoint_interval = 0;
+  } else if (robustness.checkpoint_interval == 0) {
+    robustness.checkpoint_interval = kDefaultCheckpointInterval;
+  }
+  if (const char* spacing = EnvRaw("GRAPPLE_CHECKPOINT_SPACING")) {
+    char* end = nullptr;
+    double seconds = std::strtod(spacing, &end);
+    if (end != spacing && *end == '\0') {
+      robustness.checkpoint_min_spacing_s = seconds;
+    }
+  }
+}
+
 size_t GrappleResult::TotalReports() const {
   size_t total = 0;
   for (const auto& checker : checkers) {
@@ -227,21 +289,15 @@ Grapple::Grapple(Program program, GrappleOptions options)
   // of carving the machine into per-purpose pools.
   {
     TaskRuntimeOptions rt_options;
-    size_t outer = options_.scheduling.checker_parallelism == 0
-                       ? HardwareThreads()
-                       : options_.scheduling.checker_parallelism;
+    size_t outer = ResolveThreadCount(options_.scheduling.checker_parallelism);
     rt_options.workers = outer * ResolveThreadCount(options_.scheduling.num_threads) + 1;
-    rt_options.steal_policy = ResolveStealPolicy(options_.scheduling.steal_policy);
+    rt_options.steal_policy = options_.scheduling.steal_policy;
     rt_options.lane_weights = options_.scheduling.lane_weights;
     runtime_ = std::make_unique<TaskRuntime>(rt_options);
   }
-  // The environment knob wins when set; the caller's option is the fallback.
-  options_.observability.witness = obs::WitnessModeFromEnv(options_.observability.witness);
   IoRetryPolicy io_policy = GetIoRetryPolicy();
-  io_policy.max_retries = static_cast<uint32_t>(std::max<int64_t>(
-      0, EnvInt64("GRAPPLE_IO_RETRIES", options_.robustness.max_io_retries)));
-  io_policy.backoff_base_us = static_cast<uint32_t>(std::max<int64_t>(
-      0, EnvInt64("GRAPPLE_IO_BACKOFF_US", options_.robustness.backoff_base_us)));
+  io_policy.max_retries = options_.robustness.max_io_retries;
+  io_policy.backoff_base_us = options_.robustness.backoff_base_us;
   SetIoRetryPolicy(io_policy);
   WallTimer timer;
   UnrollLoops(program_.get(), options_.precision.loop_unroll);
@@ -259,38 +315,31 @@ Grapple::Grapple(Program program, GrappleOptions options)
   // work dir on crash paths. The facade claims the dump path outright;
   // engines only fill it in when nobody else has (only_if_unset).
   obs::EventLogInstall();
-  obs::EventLogSetCapacity(static_cast<size_t>(std::max<int64_t>(
-      1, EnvInt64("GRAPPLE_EVENTLOG_EVENTS",
-                  static_cast<int64_t>(options_.observability.event_log_capacity)))));
+  obs::EventLogSetCapacity(options_.observability.event_log_capacity);
   obs::EventLogSetCrashDumpPath(work_dir_ + "/flightrec.bin");
 
-  // Live introspection endpoint: off unless the option or GRAPPLE_STATUSZ
-  // asks for a port. The listener and sampler are process-wide; the first
-  // session to start them owns their shutdown.
-  int statusz_port = static_cast<int>(
-      EnvInt64("GRAPPLE_STATUSZ", options_.observability.statusz_port));
-  if (statusz_port >= 0 && !obs::StatuszRunning()) {
+  // Live introspection endpoint: off unless the option asks for a port. The
+  // listener and sampler are process-wide; the first session to start them
+  // owns their shutdown.
+  if (options_.observability.statusz_port >= 0 && !obs::StatuszRunning()) {
     std::string statusz_error;
-    if (obs::StartStatusz(statusz_port, &statusz_error)) {
+    if (obs::StartStatusz(options_.observability.statusz_port, &statusz_error)) {
       owns_statusz_ = true;
-      uint32_t interval_ms = static_cast<uint32_t>(std::max<int64_t>(
-          1, EnvInt64("GRAPPLE_SAMPLE_INTERVAL_MS",
-                      options_.observability.sample_interval_ms)));
-      obs::Sampler::Get().Start(interval_ms);
+      obs::Sampler::Get().Start(options_.observability.sample_interval_ms);
       GRAPPLE_LOG(INFO) << "statusz listening on 127.0.0.1:" << obs::StatuszPort();
     } else {
       GRAPPLE_LOG(WARNING) << "statusz disabled: " << statusz_error;
     }
   }
 
-  // Sampling profiler: off unless the option or GRAPPLE_PROFILE asks for it.
-  // Like statusz, the profiler is process-wide and the first session to start
-  // it owns its shutdown; every profiled session points the dump at its own
-  // work dir (first claim wins) so a crash spill lands next to flightrec.bin.
-  if (ResolveProfile(options_.observability.profile)) {
+  // Sampling profiler: off unless the option asks for it. Like statusz, the
+  // profiler is process-wide and the first session to start it owns its
+  // shutdown; every profiled session points the dump at its own work dir
+  // (first claim wins) so a crash spill lands next to flightrec.bin.
+  if (options_.observability.profile) {
     obs::ProfilerSetDumpPath(work_dir_ + "/profile.bin", /*only_if_unset=*/true);
     if (!obs::ProfilerRunning()) {
-      uint32_t hz = ResolveProfileHz(options_.observability.profile_hz);
+      uint32_t hz = options_.observability.profile_hz;
       if (obs::ProfilerStart(hz)) {
         owns_profiler_ = true;
         GRAPPLE_LOG(INFO) << "sampling profiler on at " << hz << " Hz";
@@ -537,10 +586,8 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
                          << " failed; continuing without it: " << e.what();
     }
   };
-  size_t parallelism = options_.scheduling.checker_parallelism == 0
-                           ? HardwareThreads()
-                           : options_.scheduling.checker_parallelism;
-  parallelism = std::min(parallelism, specs.size());
+  size_t parallelism =
+      std::min(ResolveThreadCount(options_.scheduling.checker_parallelism), specs.size());
   if (parallelism <= 1) {
     for (size_t i = 0; i < specs.size(); ++i) {
       if (options_.robustness.isolate_checker_failures) {
@@ -597,13 +644,6 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
   result.report.total_seconds = result.total_seconds;
   result.report.total_reports = result.TotalReports();
 
-  // GRAPPLE_METRICS=<path> dumps the machine-readable run report.
-  std::string metrics_path = EnvString("GRAPPLE_METRICS");
-  if (!metrics_path.empty()) {
-    if (!obs::WriteTextFile(metrics_path, result.report.ToJson())) {
-      GRAPPLE_LOG(WARNING) << "failed to write run report to " << metrics_path;
-    }
-  }
   // Persist the cost ledger after every Check() so the profile is readable
   // even if the process never tears the session down cleanly.
   if (obs::ProfilerRunning() && !obs::ProfilerDumpPath().empty()) {

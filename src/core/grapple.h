@@ -76,8 +76,7 @@ struct GrappleOptions {
     bool simulated_solve_blocks = false;
     // Pipelined partition I/O: write-behind, schedule-driven prefetch, and
     // the compact block file format (see EngineOptions.io_pipeline and
-    // DESIGN.md). Results are byte-identical either way; GRAPPLE_IO_PIPELINE
-    // overrides at engine construction.
+    // DESIGN.md). Results are byte-identical either way.
     bool io_pipeline = true;
   };
 
@@ -95,8 +94,7 @@ struct GrappleOptions {
 
   // What the run records about itself.
   struct Observability {
-    // How much derivation provenance to record and decode (GRAPPLE_WITNESS
-    // overrides the initial value at construction):
+    // How much derivation provenance to record and decode:
     //   kOff  — no recording, reports carry no witnesses;
     //   kBugs — record during typestate phases, decode per reported bug;
     //   kFull — also record the alias phase and replay SMT at every step.
@@ -104,25 +102,23 @@ struct GrappleOptions {
     // Flight-recorder ring size, in events per thread (DESIGN.md §12). The
     // ring overwrites oldest-first, so this bounds both memory (32 bytes per
     // slot per thread) and how far back a crash dump reaches. Range
-    // [64, 1M]; GRAPPLE_EVENTLOG_EVENTS overrides at construction.
+    // [64, 1M].
     size_t event_log_capacity = 4096;
     // Cadence of the background metrics sampler that feeds /varz time
     // series. Only consulted when the statusz endpoint is on. Range
-    // [10ms, 10min]; GRAPPLE_SAMPLE_INTERVAL_MS overrides.
+    // [10ms, 10min].
     uint32_t sample_interval_ms = 250;
     // Live introspection HTTP listener (loopback only): -1 = off,
     // 0 = pick an ephemeral port (see obs::StatuszPort()), else the literal
     // port. Serves /healthz, /statusz, /metricsz, /tracez, /varz,
-    // /profilez. GRAPPLE_STATUSZ overrides at construction.
+    // /profilez.
     int statusz_port = -1;
     // Wall-clock sampling profiler (obs/profiler.h, DESIGN.md §13). When
     // on, the session starts the process-wide profiler and persists the
     // per-pair cost ledger as <work_dir>/profile.bin after every Check().
-    // GRAPPLE_PROFILE overrides at construction.
     bool profile = false;
     // Sampling frequency in Hz, range [1, 1000]. The default is prime so
     // samples do not run in lockstep with periodic work.
-    // GRAPPLE_PROFILE_HZ overrides at construction.
     uint32_t profile_hz = 97;
   };
 
@@ -134,25 +130,24 @@ struct GrappleOptions {
   //
   //     workers = resolve(checker_parallelism) * resolve(num_threads) + 1
   //
-  // where resolve() applies the 0-means-hardware rule (support/env.h), and
-  // — for num_threads only — the GRAPPLE_THREADS override. The +1 keeps a
-  // worker available for background I/O lanes even when every sized-for
-  // worker is holding a checker task. Results (reports, witnesses, report
-  // ordering) are independent of every knob in this group.
+  // where resolve() applies the 0-means-hardware rule (ResolveThreadCount,
+  // support/task_runtime.h). The +1 keeps a worker available for background
+  // I/O lanes even when every sized-for worker is holding a checker task.
+  // Results (reports, witnesses, report ordering) are independent of every
+  // knob in this group.
   struct Scheduling {
     // Outer concurrency: how many checkers (phase 2+3 engine runs) execute
     // at once. Check() runs at most this many checker tasks concurrently
     // regardless of the worker count.
     size_t checker_parallelism = 1;
     // Inner concurrency: each engine splits its join loop into this many
-    // shards (0 = hardware concurrency; GRAPPLE_THREADS overrides). The
-    // shard count — not the worker count — is what the engine's
-    // deterministic integration order is keyed on, so changing worker
-    // counts or steal policy never changes results.
+    // shards (0 = hardware concurrency). The shard count — not the worker
+    // count — is what the engine's deterministic integration order is keyed
+    // on, so changing worker counts or steal policy never changes results.
     size_t num_threads = 1;
-    // How idle workers take queued work from busy ones. GRAPPLE_STEAL
-    // overrides. kPinned disables stealing entirely, reproducing the
-    // legacy two-pool execution for A/B comparison.
+    // How idle workers take queued work from busy ones. kPinned disables
+    // stealing entirely, reproducing the legacy two-pool execution for A/B
+    // comparison.
     StealPolicy steal_policy = StealPolicy::kLocalityAware;
     // Weighted round-robin service credits per lane {foreground, prefetch,
     // write_behind}: a worker serves up to weight[l] lane-l tasks before
@@ -166,8 +161,7 @@ struct GrappleOptions {
     // (0 = off). With a persistent `work_dir`, an analysis killed mid-run
     // and rerun over the same program and options resumes each engine from
     // its last published manifest and produces byte-identical reports and
-    // witnesses. GRAPPLE_CHECKPOINT / GRAPPLE_CHECKPOINT_INTERVAL override
-    // at engine construction (support/env.h).
+    // witnesses.
     uint32_t checkpoint_interval = 0;
     // Minimum wall-clock seconds between interval-triggered manifests.
     // Each manifest re-encodes the engine's full resume state, so on
@@ -175,14 +169,13 @@ struct GrappleOptions {
     // what keeps checkpoint overhead bounded (roughly manifest-cost /
     // spacing) instead of proportional to pair throughput. Completion
     // manifests ignore it. 0 = checkpoint on every interval hit (tests use
-    // this for dense crash-point coverage). GRAPPLE_CHECKPOINT_SPACING
-    // overrides.
+    // this for dense crash-point coverage).
     double checkpoint_min_spacing_s = 1.0;
     // Bounded retries for transient I/O failures (EINTR, EAGAIN, short
-    // reads/writes) in the byte-I/O layer; GRAPPLE_IO_RETRIES overrides.
+    // reads/writes) in the byte-I/O layer. Range [0, 100].
     uint32_t max_io_retries = 4;
     // Base microseconds of the exponential backoff between those retries
-    // (0 = retry immediately); GRAPPLE_IO_BACKOFF_US overrides.
+    // (0 = retry immediately). Range [0, 1s].
     uint32_t backoff_base_us = 50;
     // When a checker's engine run dies with an I/O error, Check() records a
     // degraded CheckerRunResult (degraded/degraded_reason set, no reports)
@@ -204,6 +197,59 @@ struct GrappleOptions {
   // instead of silently clamping values.
   std::vector<std::string> Validate() const;
 };
+
+// The checkpoint cadence GRAPPLE_CHECKPOINT=on selects when no interval is
+// configured.
+inline constexpr uint32_t kDefaultCheckpointInterval = 8;
+
+// Applies the GRAPPLE_* environment variables that override option fields.
+// This is the only code that maps the environment onto options: the
+// program's edges (analyze_file, grappled via ServiceOptions::FromEnv, the
+// benches via BenchOptions) call it, then Validate(); Grapple, GraphEngine,
+// TaskRuntime and the obs sinks act on the options they are given and on
+// nothing else. A set variable overrides the field outright; an unset, empty
+// or malformed one leaves it alone. An integer that parses but is out of
+// range is stored as is (or, if the field's type cannot hold it, as the
+// type's maximum) so Validate() rejects it.
+//
+//   GRAPPLE_THREADS          positive integer -> scheduling.num_threads. It
+//                            does NOT touch checker_parallelism: the
+//                            session runtime is sized checker_parallelism x
+//                            num_threads + 1, so this scales the
+//                            per-checker factor only (DESIGN.md §14)
+//   GRAPPLE_STEAL            locality|always|pinned ->
+//                            scheduling.steal_policy; "pinned" disables
+//                            stealing (the legacy two-pool A/B control)
+//   GRAPPLE_IO_PIPELINE      on|off -> engine.io_pipeline; results are
+//                            byte-identical either way
+//   GRAPPLE_WITNESS          off|bugs|full -> observability.witness; an
+//                            unknown value warns and keeps the field
+//   GRAPPLE_EVENTLOG_EVENTS  integer -> observability.event_log_capacity
+//                            (flight-recorder ring size per thread)
+//   GRAPPLE_SAMPLE_INTERVAL_MS
+//                            integer -> observability.sample_interval_ms
+//   GRAPPLE_STATUSZ          integer -> observability.statusz_port (0 =
+//                            ephemeral port, -1 = off)
+//   GRAPPLE_PROFILE          on|off -> observability.profile
+//   GRAPPLE_PROFILE_HZ       integer -> observability.profile_hz
+//   GRAPPLE_IO_RETRIES       integer -> robustness.max_io_retries
+//   GRAPPLE_IO_BACKOFF_US    integer -> robustness.backoff_base_us
+//   GRAPPLE_CHECKPOINT       on|off -> robustness.checkpoint_interval: off
+//                            sets 0; on keeps a configured interval or
+//                            selects kDefaultCheckpointInterval
+//   GRAPPLE_CHECKPOINT_INTERVAL
+//                            positive integer -> checkpoint_interval; wins
+//                            over GRAPPLE_CHECKPOINT
+//   GRAPPLE_CHECKPOINT_SPACING
+//                            seconds (fractions allowed) ->
+//                            robustness.checkpoint_min_spacing_s
+//
+// Environment knobs no option carries are read where they apply:
+// GRAPPLE_METRICS (analyze_file's run-report path), GRAPPLE_LOG_LEVEL
+// (support/logging.h), GRAPPLE_FAULTS (support/fault_injection.h),
+// GRAPPLE_REPORT_DIR and GRAPPLE_SCALE (benches), and the grappled service
+// knobs (ServiceOptions::FromEnv).
+void ApplyEnvOverrides(GrappleOptions* options);
 
 // Statistics of one engine run plus its graph generation.
 struct PhaseStats {
@@ -235,7 +281,7 @@ struct GrappleResult {
   double total_seconds = 0;
   // Machine-readable record of the run: one obs::PhaseReport per engine run
   // ("alias", "typestate:<checker>") with the full metrics snapshot each.
-  // Serialized to the path in GRAPPLE_METRICS when that variable is set.
+  // analyze_file writes it to the path in GRAPPLE_METRICS.
   obs::RunReport report;
 
   size_t TotalReports() const;

@@ -12,7 +12,6 @@
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/support/byte_io.h"
-#include "src/support/env.h"
 #include "src/support/event_hook.h"
 #include "src/support/fault_injection.h"
 #include "src/support/logging.h"
@@ -143,12 +142,12 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
                                // pipeline is on (mirrors the dedicated I/O
                                // worker the legacy two-pool layout had).
                                ResolveThreadCount(options_.num_threads) +
-                                   (ResolveIoPipeline(options_.io_pipeline) ? 1 : 0),
-                               ResolveStealPolicy(StealPolicy::kLocalityAware)})),
+                                   (options_.io_pipeline ? 1 : 0),
+                               StealPolicy::kLocalityAware})),
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
       store_(options_.work_dir, &metrics_,
-             PartitionStorePipeline{ResolveIoPipeline(options_.io_pipeline),
+             PartitionStorePipeline{options_.io_pipeline,
                                     options_.budget_lease, options_.memory_budget_bytes,
                                     runtime_}) {
   obs::EventLogInstall();
@@ -160,9 +159,6 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
   if (options_.record_provenance) {
     provenance_ = std::make_unique<obs::ProvenanceWriter>(store_.ProvenancePath(), &metrics_);
   }
-  options_.checkpoint_interval = ResolveCheckpointInterval(options_.checkpoint_interval);
-  options_.checkpoint_min_spacing_seconds =
-      ResolveCheckpointSpacing(options_.checkpoint_min_spacing_seconds);
   if (options_.checkpoint_interval > 0) {
     c_phase_ckpt_ns_ = metrics_.Counter("phase_ckpt_ns");
     store_.SetCheckpointMode(true);

@@ -48,22 +48,21 @@ struct EngineOptions {
   // lease must outlive the engine and not be touched by other threads.
   BudgetLease* budget_lease = nullptr;
   // Join-loop parallelism: the frontier is split into this many contiguous
-  // shards per round (1 = sequential, 0 = hardware concurrency;
-  // GRAPPLE_THREADS overrides — see support/env.h). This is a sharding
-  // factor, not a thread count: shard tasks run on `runtime` (below), and
-  // because shards are integrated in index order the results are identical
-  // for any worker count or steal policy.
+  // shards per round (1 = sequential, 0 = hardware concurrency). This is a
+  // sharding factor, not a thread count: shard tasks run on `runtime`
+  // (below), and because shards are integrated in index order the results
+  // are identical for any worker count or steal policy.
   size_t num_threads = 1;
   // Non-owning task runtime that executes the engine's join shards and the
   // partition store's I/O strands. The facade injects its session runtime
   // so engines never own threads; when null (standalone engines in tests,
-  // benches, tools) the engine creates a private runtime sized
-  // ResolveThreadCount(num_threads), plus one worker for the background
-  // I/O lanes when the pipeline is on. Must outlive the engine.
+  // benches, tools) the engine creates a private locality-aware runtime
+  // sized ResolveThreadCount(num_threads), plus one worker for the
+  // background I/O lanes when the pipeline is on. Must outlive the engine.
   TaskRuntime* runtime = nullptr;
   // Pipelined partition I/O: write-behind, schedule-driven prefetch, and
   // the compact block file format (see partition_store.h and DESIGN.md).
-  // Results are byte-identical either way; GRAPPLE_IO_PIPELINE overrides.
+  // Results are byte-identical either way.
   bool io_pipeline = true;
   // Per-(src,dst,label) cap on distinct payload variants; reaching it
   // widens the triple to the always-true payload. Guarantees termination
@@ -75,15 +74,14 @@ struct EngineOptions {
   double max_seconds = 0;
   // Record a derivation-provenance record for every unique edge (base,
   // join, rewrite) into <work_dir>/provenance.bin so witnesses can be
-  // decoded after the run. See src/obs/provenance.h and GRAPPLE_WITNESS.
+  // decoded after the run. See src/obs/provenance.h.
   bool record_provenance = false;
   // Crash-safe checkpoint/resume (DESIGN.md §11): when > 0, Run() publishes
   // a checkpoint manifest into work_dir every `checkpoint_interval`
   // processed pairs (plus one at completion), and Finalize() resumes from a
   // valid manifest instead of starting over — a run killed at any point and
   // rerun with the same inputs and work_dir produces byte-identical
-  // results. 0 disables. GRAPPLE_CHECKPOINT / GRAPPLE_CHECKPOINT_INTERVAL
-  // override (see support/env.h).
+  // results. 0 disables.
   uint32_t checkpoint_interval = 0;
   // Wall-clock throttle on interval-triggered manifests: once the pair
   // interval is reached, the checkpoint still waits until this many seconds
@@ -91,7 +89,7 @@ struct EngineOptions {
   // roughly (manifest cost / spacing) regardless of how fast pairs drain —
   // without it, cheap pairs at a small interval can spend >20% of the run
   // re-encoding manifests. Completion manifests are never throttled. 0 =
-  // checkpoint on every interval hit. GRAPPLE_CHECKPOINT_SPACING overrides.
+  // checkpoint on every interval hit.
   double checkpoint_min_spacing_seconds = 1.0;
 };
 

@@ -13,7 +13,6 @@
 
 #include "src/obs/json.h"
 #include "src/support/byte_io.h"
-#include "src/support/env.h"
 #include "src/support/event_hook.h"
 
 namespace grapple {
@@ -53,7 +52,7 @@ struct LogState {
   // Rings are never freed: a thread that exits mid-run leaves its tail
   // behind for the post-mortem, which is the point of a flight recorder.
   std::vector<Ring*> rings;
-  size_t capacity = 0;  // 0 = not yet resolved from env/default
+  size_t capacity = kDefaultCapacity;  // events per ring; a power of two
   std::vector<std::string> strings;
   std::map<std::string, uint32_t> string_ids;
   std::string crash_dump_path;
@@ -85,13 +84,6 @@ size_t RoundUpPow2(size_t value) {
 Ring* RegisterThreadRing() {
   LogState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
-  if (state.capacity == 0) {
-    int64_t from_env = EnvInt64("GRAPPLE_EVENTLOG_EVENTS", static_cast<int64_t>(kDefaultCapacity));
-    size_t capacity = from_env < static_cast<int64_t>(kMinCapacity)
-                          ? kMinCapacity
-                          : std::min<size_t>(static_cast<size_t>(from_env), kMaxCapacity);
-    state.capacity = RoundUpPow2(capacity);
-  }
   Ring* ring = new Ring(state.capacity, static_cast<uint16_t>(state.rings.size() & 0xffff));
   state.rings.push_back(ring);
   t_ring = ring;

@@ -54,8 +54,8 @@ void EventLogSetEnabled(bool enabled);
 bool EventLogEnabled();
 
 // Per-thread ring capacity in events, rounded up to a power of two
-// (default 4096, env GRAPPLE_EVENTLOG_EVENTS). Applies to rings created
-// after the call; existing rings keep their size.
+// (default 4096; the facade sets Observability::event_log_capacity).
+// Applies to rings created after the call; existing rings keep their size.
 void EventLogSetCapacity(size_t events_per_thread);
 
 // Interns `s` into the process-wide string table and returns its stable

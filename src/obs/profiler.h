@@ -25,9 +25,10 @@
 //
 // Context ids are event-log string-table ids offset by one: 0 means "no
 // context", id-1 indexes the string table. Sampling is off by default;
-// GRAPPLE_PROFILE=on (or Observability::profile) turns it on at
-// GRAPPLE_PROFILE_HZ (default 97 Hz). With the profiler stopped and a
-// thread unregistered, a marker is one thread-local load and a branch.
+// Observability::profile (GRAPPLE_PROFILE=on at the program's edges) turns
+// it on at Observability::profile_hz (default 97 Hz). With the profiler
+// stopped and a thread unregistered, a marker is one thread-local load and
+// a branch.
 #ifndef GRAPPLE_SRC_OBS_PROFILER_H_
 #define GRAPPLE_SRC_OBS_PROFILER_H_
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "src/support/byte_io.h"
-#include "src/support/env.h"
 #include "src/support/logging.h"
 
 namespace grapple {
@@ -42,23 +41,17 @@ const char* WitnessModeName(WitnessMode mode) {
   return "?";
 }
 
-WitnessMode WitnessModeFromEnv(WitnessMode fallback) {
-  std::string value = EnvString("GRAPPLE_WITNESS");
-  if (value.empty()) {
-    return fallback;
+bool ParseWitnessMode(const std::string& text, WitnessMode* out) {
+  if (text == "off" || text == "0" || text == "none") {
+    *out = WitnessMode::kOff;
+  } else if (text == "bugs") {
+    *out = WitnessMode::kBugs;
+  } else if (text == "full") {
+    *out = WitnessMode::kFull;
+  } else {
+    return false;
   }
-  if (value == "off" || value == "0" || value == "none") {
-    return WitnessMode::kOff;
-  }
-  if (value == "bugs") {
-    return WitnessMode::kBugs;
-  }
-  if (value == "full") {
-    return WitnessMode::kFull;
-  }
-  GRAPPLE_LOG(WARNING) << "unrecognized GRAPPLE_WITNESS value '" << value
-                       << "' (want off|bugs|full); using " << WitnessModeName(fallback);
-  return fallback;
+  return true;
 }
 
 ProvenanceWriter::ProvenanceWriter(std::string path, MetricsRegistry* metrics)

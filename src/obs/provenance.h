@@ -39,8 +39,8 @@
 namespace grapple {
 namespace obs {
 
-// GRAPPLE_WITNESS={off,bugs,full} — how much derivation provenance a run
-// records (see WitnessModeFromEnv; the facade maps modes onto phases).
+// How much derivation provenance a run records (the facade maps modes onto
+// phases).
 enum class WitnessMode : uint8_t {
   kOff = 0,   // record nothing; bug reports carry no witnesses
   kBugs = 1,  // record during bug-finding (typestate) phases only [default]
@@ -48,8 +48,9 @@ enum class WitnessMode : uint8_t {
 };
 
 const char* WitnessModeName(WitnessMode mode);
-// Parses GRAPPLE_WITNESS; unset or unrecognized values yield `fallback`.
-WitnessMode WitnessModeFromEnv(WitnessMode fallback = WitnessMode::kBugs);
+// Parses "off" (also "0", "none"), "bugs", or "full". False on anything
+// else, leaving *out untouched.
+bool ParseWitnessMode(const std::string& text, WitnessMode* out);
 
 enum class ProvKind : uint8_t {
   kBase = 0,

@@ -19,9 +19,9 @@
 // Callbacks run on the scrape/sampler thread and must be thread-safe; they
 // must not re-enter Introspection.
 //
-// Pages (enabled via GrappleOptions::Observability::statusz_port or
-// GRAPPLE_STATUSZ; port 0 picks an ephemeral port, readable via
-// StatuszPort()):
+// Pages (enabled via GrappleOptions::Observability::statusz_port, which
+// GRAPPLE_STATUSZ sets at the program's edges; port 0 picks an ephemeral
+// port, readable via StatuszPort()):
 //   /healthz   200 "ok" while the server runs
 //   /statusz   JSON: session/status sources + runtime gauges
 //   /metricsz  Prometheus text exposition of the merged registries

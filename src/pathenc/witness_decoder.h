@@ -40,7 +40,7 @@ struct DerivationStep {
   // This step's derived-edge path encoding and its decoded constraint.
   PathEncoding encoding;
   Constraint constraint;
-  // Per-step feasibility replay (Options.replay_steps, GRAPPLE_WITNESS=full
+  // Per-step feasibility replay (Options.replay_steps, WitnessMode::kFull
   // territory); `replayed` distinguishes "not run" from a kUnknown verdict.
   bool replayed = false;
   SolveResult replay = SolveResult::kUnknown;

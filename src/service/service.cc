@@ -191,6 +191,7 @@ uint64_t SubjectFingerprint(const std::string& tenant, const std::string& subjec
 
 ServiceOptions ServiceOptions::FromEnv() {
   ServiceOptions options;
+  ApplyEnvOverrides(&options.session);
   options.port = static_cast<int>(EnvInt64("GRAPPLE_SERVICE_PORT", options.port));
   options.max_resident_sessions = static_cast<size_t>(std::max<int64_t>(
       1, EnvInt64("GRAPPLE_MAX_RESIDENT_SESSIONS",

@@ -74,7 +74,7 @@ struct ServiceOptions {
   GrappleOptions session;
 
   // Defaults with GRAPPLE_SERVICE_PORT, GRAPPLE_MAX_RESIDENT_SESSIONS and
-  // GRAPPLE_ADMISSION_QUEUE applied (support/env.h).
+  // GRAPPLE_ADMISSION_QUEUE applied, and ApplyEnvOverrides on `session`.
   static ServiceOptions FromEnv();
 };
 

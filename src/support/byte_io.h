@@ -29,8 +29,7 @@ class IoError : public std::runtime_error {
 // exponential backoff starting at `backoff_base_us` with deterministic
 // jitter drawn from a splitmix64 stream seeded by `jitter_seed`.
 // `backoff_base_us = 0` disables sleeping (tests). Installed process-wide
-// by GrappleOptions::Robustness (GRAPPLE_IO_RETRIES / GRAPPLE_IO_BACKOFF_US
-// override).
+// by GrappleOptions::Robustness.
 struct IoRetryPolicy {
   uint32_t max_retries = 4;
   uint32_t backoff_base_us = 50;

@@ -55,49 +55,4 @@ size_t HardwareThreads() {
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
-size_t ResolveThreadCount(size_t requested) {
-  int64_t forced = EnvInt64("GRAPPLE_THREADS", 0);
-  if (forced > 0) {
-    return static_cast<size_t>(forced);
-  }
-  return requested == 0 ? HardwareThreads() : requested;
-}
-
-bool ResolveIoPipeline(bool requested) { return EnvBool("GRAPPLE_IO_PIPELINE", requested); }
-
-uint32_t ResolveCheckpointInterval(uint32_t requested) {
-  int64_t forced = EnvInt64("GRAPPLE_CHECKPOINT_INTERVAL", 0);
-  if (forced > 0) {
-    return static_cast<uint32_t>(forced);
-  }
-  bool enabled = EnvBool("GRAPPLE_CHECKPOINT", requested > 0);
-  if (!enabled) {
-    return 0;
-  }
-  return requested > 0 ? requested : kDefaultCheckpointInterval;
-}
-
-bool ResolveProfile(bool requested) { return EnvBool("GRAPPLE_PROFILE", requested); }
-
-uint32_t ResolveProfileHz(uint32_t requested) {
-  int64_t forced = EnvInt64("GRAPPLE_PROFILE_HZ", 0);
-  if (forced > 0) {
-    return static_cast<uint32_t>(std::min<int64_t>(forced, 1000));
-  }
-  return requested;
-}
-
-double ResolveCheckpointSpacing(double requested) {
-  const char* value = EnvRaw("GRAPPLE_CHECKPOINT_SPACING");
-  if (value == nullptr) {
-    return requested;
-  }
-  char* end = nullptr;
-  double parsed = std::strtod(value, &end);
-  if (end == value || (end != nullptr && *end != '\0') || parsed < 0) {
-    return requested;
-  }
-  return parsed;
-}
-
 }  // namespace grapple

@@ -1,7 +1,6 @@
 #include "src/support/task_runtime.h"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
@@ -55,15 +54,8 @@ bool ParseStealPolicy(const std::string& text, StealPolicy* out) {
   return true;
 }
 
-StealPolicy ResolveStealPolicy(StealPolicy requested) {
-  const char* env = std::getenv("GRAPPLE_STEAL");
-  if (env != nullptr && *env != '\0') {
-    StealPolicy parsed;
-    if (ParseStealPolicy(env, &parsed)) {
-      return parsed;
-    }
-  }
-  return requested;
+size_t ResolveThreadCount(size_t requested) {
+  return requested == 0 ? HardwareThreads() : requested;
 }
 
 void TaskGroup::Submit(TaskLane lane, uint64_t affinity, std::function<void()> fn) {
@@ -105,10 +97,7 @@ void TaskGroup::Wait() {
 }
 
 TaskRuntime::TaskRuntime(TaskRuntimeOptions options) : options_(options) {
-  size_t count = options_.workers == 0 ? HardwareThreads() : options_.workers;
-  if (count == 0) {
-    count = 1;
-  }
+  size_t count = ResolveThreadCount(options_.workers);
   for (auto& weight : options_.lane_weights) {
     if (weight == 0) {
       weight = 1;

@@ -74,13 +74,12 @@ enum class StealPolicy : uint8_t {
 const char* StealPolicyName(StealPolicy policy);
 // Parses the names above (case-sensitive). False on anything else.
 bool ParseStealPolicy(const std::string& text, StealPolicy* out);
-// GRAPPLE_STEAL, when set to a valid policy name, overrides `requested`
-// outright (same contract as ResolveThreadCount / GRAPPLE_THREADS).
-StealPolicy ResolveStealPolicy(StealPolicy requested);
+// A thread-count option of 0 means "use the hardware concurrency",
+// uniformly wherever workers or shards are sized.
+size_t ResolveThreadCount(size_t requested);
 
 struct TaskRuntimeOptions {
-  // Worker threads. 0 = hardware concurrency. Callers resolve env
-  // overrides (ResolveThreadCount) before constructing.
+  // Worker threads. 0 = hardware concurrency.
   size_t workers = 0;
   StealPolicy steal_policy = StealPolicy::kLocalityAware;
   // Weighted round-robin service credits per lane; a worker serves up to

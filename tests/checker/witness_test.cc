@@ -1,6 +1,6 @@
 // Bug-witness tests: every report carries a decoded derivation witness that
 // type-checks against the property FSM (transitions legal, violation at the
-// end), GRAPPLE_WITNESS=off records nothing, and full mode replays steps.
+// end), witness mode off records nothing, and full mode replays steps.
 #include <gtest/gtest.h>
 
 #include <map>

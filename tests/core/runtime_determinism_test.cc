@@ -5,11 +5,8 @@
 // be byte-identical for every worker count, steal policy, and repeat.
 // scheduler_test.cc pins the checker-level contract; this file varies the
 // runtime-level knobs underneath it.
-//
-// Own binary: mutates the GRAPPLE_STEAL environment variable.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "src/checker/builtin_checkers.h"
@@ -54,11 +51,13 @@ std::string Fingerprint(const GrappleResult& result) {
   return out;
 }
 
-std::string RunFingerprint(size_t checker_parallelism, size_t num_threads) {
+std::string RunFingerprint(size_t checker_parallelism, size_t num_threads,
+                           StealPolicy policy = StealPolicy::kLocalityAware) {
   Workload workload = GenerateWorkload(DeterminismConfig());
   GrappleOptions options;
   options.scheduling.checker_parallelism = checker_parallelism;
   options.scheduling.num_threads = num_threads;
+  options.scheduling.steal_policy = policy;
   options.engine.memory_budget_bytes = uint64_t{64} << 20;
   Grapple grapple(std::move(workload.program), options);
   GrappleResult result = grapple.Check({MakeIoCheckerSpec(), MakeLockCheckerSpec()});
@@ -67,7 +66,6 @@ std::string RunFingerprint(size_t checker_parallelism, size_t num_threads) {
 }
 
 TEST(RuntimeDeterminismTest, ByteIdenticalAcrossWorkerCounts) {
-  unsetenv("GRAPPLE_STEAL");
   std::string sequential = RunFingerprint(/*checker_parallelism=*/1, /*num_threads=*/1);
   // Each configuration lands on a different session worker count
   // (checker_parallelism x num_threads + 1) and a different shard fan-out.
@@ -78,16 +76,14 @@ TEST(RuntimeDeterminismTest, ByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(RuntimeDeterminismTest, ByteIdenticalAcrossStealPoliciesAndRepeats) {
-  unsetenv("GRAPPLE_STEAL");
   std::string baseline = RunFingerprint(/*checker_parallelism=*/2, /*num_threads=*/2);
-  for (const char* policy : {"always", "pinned", "locality"}) {
-    setenv("GRAPPLE_STEAL", policy, 1);
+  for (StealPolicy policy :
+       {StealPolicy::kAlways, StealPolicy::kPinned, StealPolicy::kLocalityAware}) {
     // Twice per policy: stealing (or its absence) must not leak into
     // results even across the scheduling races of distinct runs.
-    EXPECT_EQ(baseline, RunFingerprint(2, 2)) << "policy=" << policy;
-    EXPECT_EQ(baseline, RunFingerprint(2, 2)) << "policy=" << policy;
+    EXPECT_EQ(baseline, RunFingerprint(2, 2, policy)) << "policy=" << StealPolicyName(policy);
+    EXPECT_EQ(baseline, RunFingerprint(2, 2, policy)) << "policy=" << StealPolicyName(policy);
   }
-  unsetenv("GRAPPLE_STEAL");
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // byte-identical results with the pipeline on and off.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 
 #include "src/cfg/call_graph.h"
@@ -44,13 +43,7 @@ bool SameEdges(const std::vector<EdgeRecord>& a, const std::vector<EdgeRecord>& 
   return true;
 }
 
-// The options knob must not be silently overridden by the environment.
-class IoPipelineTest : public ::testing::Test {
- protected:
-  IoPipelineTest() { unsetenv("GRAPPLE_IO_PIPELINE"); }
-};
-
-TEST_F(IoPipelineTest, BlockCodecRoundTrip) {
+TEST(IoPipelineTest, BlockCodecRoundTrip) {
   std::vector<EdgeRecord> edges;
   for (VertexId v = 0; v < 200; ++v) {
     // Heavy payload sharing (every widened triple carries the same payload
@@ -71,7 +64,7 @@ TEST_F(IoPipelineTest, BlockCodecRoundTrip) {
   EXPECT_TRUE(SameEdges(edges, decoded));
 }
 
-TEST_F(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
+TEST(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
   // Appends arrive unsorted (externals grouped by owner, any src order) and
   // each append is its own block; decode must preserve exact order.
   std::vector<EdgeRecord> first = {MakeEdge(9, 2, 1), MakeEdge(3, 7, 2, 0), MakeEdge(9, 1, 1)};
@@ -89,7 +82,7 @@ TEST_F(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
   EXPECT_TRUE(SameEdges(expected, decoded));
 }
 
-TEST_F(IoPipelineTest, LegacyRawFormatReadsBackTransparently) {
+TEST(IoPipelineTest, LegacyRawFormatReadsBackTransparently) {
   std::vector<EdgeRecord> edges = {MakeEdge(0, 1, 1), MakeEdge(5, 2, 3, 0), MakeEdge(5, 9, 2)};
   std::vector<uint8_t> raw;
   for (const auto& edge : edges) {
@@ -101,7 +94,7 @@ TEST_F(IoPipelineTest, LegacyRawFormatReadsBackTransparently) {
   EXPECT_TRUE(SameEdges(edges, decoded));
 }
 
-TEST_F(IoPipelineTest, EmptyWriteIsHeaderOnly) {
+TEST(IoPipelineTest, EmptyWriteIsHeaderOnly) {
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
   AppendEdgeBlock({}, &file, nullptr);
@@ -113,7 +106,7 @@ TEST_F(IoPipelineTest, EmptyWriteIsHeaderOnly) {
 
 // Runs the same mutation sequence against a synchronous store and a
 // pipelined one; every observable (loads, metadata, history) must agree.
-TEST_F(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
+TEST(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
   TempDir sync_dir("iopipe-sync");
   TempDir pipe_dir("iopipe-pipe");
   PartitionStore sync_store(sync_dir.path());
@@ -168,7 +161,7 @@ TEST_F(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
   EXPECT_LT(disk_bytes(pipe_store), disk_bytes(sync_store));
 }
 
-TEST_F(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
+TEST(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
   TempDir dir("iopipe-hint");
   obs::MetricsRegistry metrics;
   PartitionStorePipeline pipeline;
@@ -216,7 +209,7 @@ TEST_F(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
   EXPECT_EQ(store.Load(2).size(), p2_edges + 2);
 }
 
-TEST_F(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
+TEST(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
   TempDir dir("iopipe-borrow");
   obs::MetricsRegistry metrics;
   BudgetArbiter arbiter(uint64_t{64} << 20);
@@ -255,7 +248,7 @@ TEST_F(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
 // A chain + extra edges under a tiny budget forces appends, rewrites, and
 // splits; the resulting edge files must be bit-for-bit equivalent in
 // content between the two modes.
-TEST_F(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
+TEST(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
   constexpr char kSource[] = R"(
     method m(int x) {
       int y
@@ -308,7 +301,7 @@ TEST_F(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
   EXPECT_EQ(off_dump, on_dump);
 }
 
-TEST_F(IoPipelineTest, FacadeReportsAreByteIdenticalAcrossModes) {
+TEST(IoPipelineTest, FacadeReportsAreByteIdenticalAcrossModes) {
   constexpr char kSmall[] = R"(
     method main() {
       obj f : FileWriter

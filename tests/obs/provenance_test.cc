@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 
 #include "src/support/byte_io.h"
@@ -138,29 +137,6 @@ TEST(WitnessModeTest, NamesRoundTrip) {
   EXPECT_STREQ(WitnessModeName(WitnessMode::kOff), "off");
   EXPECT_STREQ(WitnessModeName(WitnessMode::kBugs), "bugs");
   EXPECT_STREQ(WitnessModeName(WitnessMode::kFull), "full");
-}
-
-TEST(WitnessModeTest, FromEnvParsesKnownValuesAndFallsBack) {
-  struct Case {
-    const char* value;
-    WitnessMode expect;
-  };
-  const Case cases[] = {
-      {"off", WitnessMode::kOff},   {"0", WitnessMode::kOff},
-      {"none", WitnessMode::kOff},  {"bugs", WitnessMode::kBugs},
-      {"full", WitnessMode::kFull},
-  };
-  for (const Case& c : cases) {
-    ::setenv("GRAPPLE_WITNESS", c.value, 1);
-    EXPECT_EQ(WitnessModeFromEnv(WitnessMode::kBugs), c.expect) << c.value;
-  }
-  // Unrecognized values keep the caller's fallback.
-  ::setenv("GRAPPLE_WITNESS", "sideways", 1);
-  EXPECT_EQ(WitnessModeFromEnv(WitnessMode::kFull), WitnessMode::kFull);
-  // Unset: fallback wins.
-  ::unsetenv("GRAPPLE_WITNESS");
-  EXPECT_EQ(WitnessModeFromEnv(WitnessMode::kOff), WitnessMode::kOff);
-  EXPECT_EQ(WitnessModeFromEnv(), WitnessMode::kBugs);
 }
 
 }  // namespace

@@ -197,9 +197,11 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
   EXPECT_TRUE(Sampler::Get().running());
 
   std::atomic<bool> done{false};
+  std::atomic<bool> scraping{false};
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     while (!done.load(std::memory_order_acquire)) {
+      scraping.store(true, std::memory_order_release);
       int status = 0;
       std::string body = HttpGet(port, "/statusz", &status);
       if (status == 200) {
@@ -213,6 +215,12 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
       }
     }
   });
+  // A small Check can finish before the scraper thread is first scheduled;
+  // start it only once the scraper is inside its loop, so at least one
+  // scrape overlaps the run (or completes right after it).
+  while (!scraping.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   GrappleResult result = analyzer.Check(AllBuiltinCheckers());
   done.store(true, std::memory_order_release);
   scraper.join();

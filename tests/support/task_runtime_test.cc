@@ -5,15 +5,13 @@
 // core/runtime_determinism_test.cc; this file pins the scheduler mechanics
 // those guarantees are built on.
 //
-// Own binary: the ResolveStealPolicy tests mutate the GRAPPLE_STEAL
-// environment variable, and several tests park worker threads on purpose.
+// Own binary: several tests park worker threads on purpose.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <string>
@@ -332,21 +330,6 @@ TEST(TaskRuntimeTest, StealPolicyNamesRoundTrip) {
   EXPECT_FALSE(ParseStealPolicy("", &out));
   EXPECT_FALSE(ParseStealPolicy("LOCALITY", &out));
   EXPECT_FALSE(ParseStealPolicy("random", &out));
-}
-
-TEST(TaskRuntimeTest, ResolveStealPolicyHonorsEnvOverride) {
-  unsetenv("GRAPPLE_STEAL");
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kLocalityAware), StealPolicy::kLocalityAware);
-  setenv("GRAPPLE_STEAL", "pinned", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kLocalityAware), StealPolicy::kPinned);
-  setenv("GRAPPLE_STEAL", "always", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kPinned), StealPolicy::kAlways);
-  // Unparseable values fall back to the requested policy.
-  setenv("GRAPPLE_STEAL", "bogus", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kAlways), StealPolicy::kAlways);
-  setenv("GRAPPLE_STEAL", "", 1);
-  EXPECT_EQ(ResolveStealPolicy(StealPolicy::kPinned), StealPolicy::kPinned);
-  unsetenv("GRAPPLE_STEAL");
 }
 
 }  // namespace

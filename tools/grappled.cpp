@@ -11,12 +11,15 @@
 //   $ grapple-client --port $(cat /tmp/grappled.port) --tenant ci
 //       --fields reports subject.grap
 //
-// Defaults come from ServiceOptions::FromEnv() (GRAPPLE_SERVICE_PORT,
-// GRAPPLE_MAX_RESIDENT_SESSIONS, GRAPPLE_ADMISSION_QUEUE); flags override.
+// Defaults come from ServiceOptions::FromEnv(): GRAPPLE_SERVICE_PORT,
+// GRAPPLE_MAX_RESIDENT_SESSIONS and GRAPPLE_ADMISSION_QUEUE, plus the
+// GRAPPLE_* option knobs (ApplyEnvOverrides, src/core/grapple.h) on the
+// session template; flags override. The session template is validated at
+// startup, as each session will see it (with its own work dir).
 // SIGTERM/SIGINT trigger a graceful shutdown: new requests get 503, queued
 // requests are failed, in-flight checks finish, session work dirs and the
 // daemon's work root are removed, and the process exits 0. Exit codes:
-// 0 clean shutdown, 1 startup failure, 2 usage error.
+// 0 clean shutdown, 1 startup failure, 2 usage or invalid session options.
 #include <signal.h>
 #include <unistd.h>
 
@@ -25,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/obs/report.h"
 #include "src/service/service.h"
@@ -91,6 +95,18 @@ int main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+  }
+
+  // Every session gets its own work dir under the work root, so validate
+  // the template with one filled in.
+  grapple::GrappleOptions session = options.session;
+  session.work_dir = "session-work-dir";
+  std::vector<std::string> option_errors = session.Validate();
+  if (!option_errors.empty()) {
+    for (const auto& error : option_errors) {
+      std::fprintf(stderr, "grappled: invalid option: %s\n", error.c_str());
+    }
+    return 2;
   }
 
   if (::pipe(g_shutdown_pipe) != 0) {
