@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/checker/builtin_checkers.h"
+#include "src/checker/report_json.h"
 #include "src/core/grapple.h"
 #include "src/obs/report.h"
 #include "src/support/timer.h"
@@ -49,6 +50,17 @@ inline SubjectRun RunSubject(const WorkloadConfig& config,
   Grapple grapple(std::move(program), options);
   run.result = grapple.Check(AllBuiltinCheckers());
   return run;
+}
+
+// Timing-free fingerprint of a run: every bug report and witness, in
+// checker order. Two runs' reports are byte-identical exactly when their
+// fingerprints are equal.
+inline std::string ReportFingerprint(const GrappleResult& r) {
+  std::string out;
+  for (const auto& checker : r.checkers) {
+    out += checker.checker + "\n" + ReportsToJson(checker.reports) + "\n";
+  }
+  return out;
 }
 
 // Figure-9 style cost breakdown; the single implementation lives in

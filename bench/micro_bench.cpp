@@ -2,7 +2,7 @@
 // the design-choice ablations called out in DESIGN.md:
 //   * interval merge/compact vs decode+solve cost,
 //   * Fourier-Motzkin solving,
-//   * LRU memoization,
+//   * exact merge memoization (memo hit vs miss),
 //   * edge (de)serialization and partition I/O round trips.
 #include <benchmark/benchmark.h>
 
@@ -15,7 +15,6 @@
 #include "src/graph/partition_store.h"
 #include "src/ir/parser.h"
 #include "src/pathenc/constraint_decoder.h"
-#include "src/support/lru_cache.h"
 #include "src/support/rng.h"
 #include "src/symexec/cfet_builder.h"
 
@@ -189,18 +188,6 @@ void BM_FourierMotzkin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FourierMotzkin)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_LruCache(benchmark::State& state) {
-  LruCache<uint64_t, int> cache(1024);
-  Rng rng(7);
-  for (uint64_t i = 0; i < 1024; ++i) {
-    cache.Put(i, static_cast<int>(i));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Get(rng.Below(2048)));
-  }
-}
-BENCHMARK(BM_LruCache);
 
 void BM_EdgeSerializeRoundTrip(benchmark::State& state) {
   EdgeRecord edge;

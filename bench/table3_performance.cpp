@@ -12,7 +12,6 @@
 #include <cinttypes>
 
 #include "bench/bench_util.h"
-#include "src/checker/report_json.h"
 #include "src/obs/event_log.h"
 #include "src/obs/profiler.h"
 #include "src/obs/sampler.h"
@@ -39,16 +38,6 @@ size_t EnvSize(const char* name, size_t default_value) {
   }
   long long value = std::atoll(env);
   return value >= 0 ? static_cast<size_t>(value) : default_value;
-}
-
-// Timing-free fingerprint of the run: every bug report and witness, in
-// checker order. Sequential and parallel scheduling must agree on this.
-std::string ReportFingerprint(const GrappleResult& r) {
-  std::string out;
-  for (const auto& checker : r.checkers) {
-    out += checker.checker + "\n" + ReportsToJson(checker.reports) + "\n";
-  }
-  return out;
 }
 
 double MaxGaugeAllPhases(const GrappleResult& r, const std::string& name) {

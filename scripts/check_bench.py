@@ -194,6 +194,28 @@ DEFAULT_WATCH = [
         "min": 1.0,
     },
     {
+        # The constraint memo is exact: with it on and off, every preset's
+        # reports are byte-identical (table4_caching), at any scale.
+        "key": "table4_caching/zookeeper:cache/alias/gauge:cache_reports_identical",
+        "direction": "higher_is_better",
+        "min": 1.0,
+    },
+    {
+        "key": "table4_caching/hadoop:cache/alias/gauge:cache_reports_identical",
+        "direction": "higher_is_better",
+        "min": 1.0,
+    },
+    {
+        "key": "table4_caching/hdfs:cache/alias/gauge:cache_reports_identical",
+        "direction": "higher_is_better",
+        "min": 1.0,
+    },
+    {
+        "key": "table4_caching/hbase:cache/alias/gauge:cache_reports_identical",
+        "direction": "higher_is_better",
+        "min": 1.0,
+    },
+    {
         # Warm throughput of the analysis service's two-tenant burst
         # (bench/service_bench.cpp). Wall-clock over loopback HTTP, so the
         # tolerance is wide; the floor catches the service falling back to

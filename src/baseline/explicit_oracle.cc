@@ -53,29 +53,11 @@ Constraint DeserializeConstraint(const uint8_t* data, size_t len) {
 ExplicitOracle::ExplicitOracle(const Icfet* icfet) : ExplicitOracle(icfet, Options()) {}
 
 ExplicitOracle::ExplicitOracle(const Icfet* icfet, Options options)
-    : options_(options),
-      decoder_(icfet),
-      solver_(options.solver_limits),
-      cache_(options.cache_capacity) {}
+    : ConstraintOracle(icfet, options), max_items_(options.max_items) {}
 
-std::vector<uint8_t> ExplicitOracle::BasePayload(const PathEncoding& enc) {
-  std::vector<uint8_t> out;
-  enc.Serialize(&out);
-  return out;
-}
-
-std::vector<uint8_t> ExplicitOracle::TruePayload() {
-  std::vector<uint8_t> out;
-  PathEncoding::Empty().Serialize(&out);
-  return out;
-}
-
-std::optional<std::vector<uint8_t>> ExplicitOracle::MergeAndCheck(const uint8_t* a, size_t a_len,
-                                                                  const uint8_t* b,
-                                                                  size_t b_len) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.merges;
-  WallTimer lookup_timer;
+MergeMemo::Result ExplicitOracle::MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
+                                              size_t b_len) {
+  WallTimer merge_timer;
   // Plain byte-level concatenation of the two item sequences: adjust the
   // leading item count, keep everything else verbatim. No fusion, no
   // cancellation — the formula grows with path length.
@@ -84,63 +66,24 @@ std::optional<std::vector<uint8_t>> ExplicitOracle::MergeAndCheck(const uint8_t*
   uint64_t count_a = ra.GetVarint64();
   uint64_t count_b = rb.GetVarint64();
   std::vector<uint8_t> bytes;
-  if (count_a + count_b > options_.max_items) {
+  if (count_a + count_b > max_items_) {
     // Backstop: keep the first formula, weaken the rest to `true`.
     ByteReader full_a(a, a_len);
     PathEncoding left = PathEncoding::Deserialize(&full_a);
-    PathEncoding capped = PathEncoding::Append(left, PathEncoding::Opaque(), options_.max_items);
+    PathEncoding capped = PathEncoding::Append(left, PathEncoding::Opaque(), max_items_);
     capped.Serialize(&bytes);
   } else {
     PutVarint64(&bytes, count_a + count_b);
     bytes.insert(bytes.end(), a + ra.position(), a + a_len);
     bytes.insert(bytes.end(), b + rb.position(), b + b_len);
   }
-  std::string key(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  stats_.lookup_seconds += lookup_timer.ElapsedSeconds();
-
-  SolveResult result;
-  bool cached = false;
-  if (options_.enable_cache) {
-    auto hit = cache_.Get(key);
-    if (hit.has_value()) {
-      ++stats_.cache_hits;
-      result = *hit;
-      cached = true;
-    }
-  }
-  if (!cached) {
-    ++stats_.constraints_checked;
-    WallTimer decode_timer;
-    ByteReader reader(bytes.data(), bytes.size());
-    PathEncoding full = PathEncoding::Deserialize(&reader);
-    Constraint constraint = decoder_.Decode(full);
-    stats_.lookup_seconds += decode_timer.ElapsedSeconds();
-    WallTimer solve_timer;
-    result = solver_.Solve(constraint);
-    stats_.solve_seconds += solve_timer.ElapsedSeconds();
-    if (options_.enable_cache) {
-      cache_.Put(key, result);
-    }
-  }
-  if (result == SolveResult::kUnsat) {
-    ++stats_.unsat;
+  ByteReader reader(bytes.data(), bytes.size());
+  PathEncoding full = PathEncoding::Deserialize(&reader);
+  metrics_.AddNanos(c_lookup_ns_, merge_timer.ElapsedNanos());
+  if (CheckLocked(full) == SolveResult::kUnsat) {
     return std::nullopt;
   }
-  if (result == SolveResult::kUnknown) {
-    ++stats_.unknown;
-  }
   return bytes;
-}
-
-OracleStats ExplicitOracle::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
-void ExplicitOracle::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_ = OracleStats();
-  cache_.ResetStats();
 }
 
 }  // namespace grapple

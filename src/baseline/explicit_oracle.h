@@ -18,14 +18,10 @@
 #ifndef GRAPPLE_SRC_BASELINE_EXPLICIT_ORACLE_H_
 #define GRAPPLE_SRC_BASELINE_EXPLICIT_ORACLE_H_
 
-#include <mutex>
-#include <string>
+#include <vector>
 
 #include "src/graph/constraint_oracle.h"
-#include "src/pathenc/constraint_decoder.h"
 #include "src/pathenc/path_encoding.h"
-#include "src/smt/solver.h"
-#include "src/support/lru_cache.h"
 #include "src/symexec/cfet.h"
 
 namespace grapple {
@@ -37,32 +33,20 @@ Constraint DeserializeConstraint(const uint8_t* data, size_t len);
 
 class ExplicitOracle : public ConstraintOracle {
  public:
-  struct Options {
-    size_t cache_capacity = size_t{1} << 16;
-    bool enable_cache = true;
+  struct Options : ConstraintOracle::Options {
     // Termination backstop: payloads beyond this many items weaken to an
     // opaque marker (far above anything the interval codec would keep).
     size_t max_items = 4096;
-    SolverLimits solver_limits;
   };
 
   explicit ExplicitOracle(const Icfet* icfet);
   ExplicitOracle(const Icfet* icfet, Options options);
 
-  std::vector<uint8_t> BasePayload(const PathEncoding& enc) override;
-  std::vector<uint8_t> TruePayload() override;
-  std::optional<std::vector<uint8_t>> MergeAndCheck(const uint8_t* a, size_t a_len,
-                                                    const uint8_t* b, size_t b_len) override;
-  OracleStats Stats() const override;
-  void ResetStats() override;
-
  private:
-  Options options_;
-  mutable std::mutex mu_;
-  PathDecoder decoder_;
-  Solver solver_;
-  LruCache<std::string, SolveResult> cache_;
-  OracleStats stats_;
+  MergeMemo::Result MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
+                                size_t b_len) override;
+
+  size_t max_items_;
 };
 
 }  // namespace grapple

@@ -48,7 +48,6 @@ std::vector<std::string> FieldUniverse(const Program& program) {
 
 IntervalOracle::Options OracleOptionsFrom(const GrappleOptions& options) {
   IntervalOracle::Options oracle_options;
-  oracle_options.cache_capacity = options.engine.cache_capacity;
   oracle_options.enable_cache = options.engine.enable_cache;
   oracle_options.max_encoding_items = options.engine.max_encoding_items;
   oracle_options.solver_limits = options.engine.solver_limits;
@@ -84,10 +83,6 @@ std::vector<std::string> GrappleOptions::Validate() const {
   if (engine.max_encoding_items == 0) {
     errors.push_back("engine.max_encoding_items must be >= 1 so merged path encodings can hold "
                      "at least one interval");
-  }
-  if (engine.enable_cache && engine.cache_capacity == 0) {
-    errors.push_back("engine.cache_capacity must be >= 1 when enable_cache is set; disable the "
-                     "cache instead of sizing it to zero");
   }
   if (precision.loop_unroll == 0) {
     errors.push_back("precision.loop_unroll must be >= 1 (§3.1: loops are unrolled a bounded "
@@ -533,8 +528,8 @@ CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, BudgetLease* lease,
     phase_out->edges_before = checker_result.typestate.edges_before;
     phase_out->edges_after = checker_result.typestate.edges_after;
     phase_out->seconds = checker_result.typestate.seconds;
-    // Re-snapshot after report extraction so the oracle's CheckPayload work
-    // on final edges is included.
+    // Re-snapshot after report extraction so the witness decoding it did
+    // (witnesses_decoded_total) is included.
     phase_out->metrics = ts_engine.Metrics();
   }
   evt::Emit(evt::kCheckerDone, name_id, checker_result.reports.size());

@@ -63,9 +63,9 @@ struct GrappleOptions {
     // Per-(src,dst,label) cap on distinct payload variants; reaching it
     // widens the triple to the always-true payload (see EngineOptions).
     size_t max_variants_per_triple = 8;
-    // Constraint-memoization LRU (Table 4). Disable to measure its benefit.
+    // Exact constraint memoization by payload pair (Table 4). Disable to
+    // measure its benefit.
     bool enable_cache = true;
-    size_t cache_capacity = size_t{1} << 16;
     size_t max_encoding_items = 64;
     SolverLimits solver_limits;
     // Per-solve wait (µs) modeling an external SMT solver's call cost;

@@ -3,77 +3,44 @@
 //
 // Two implementations exist:
 //   * IntervalOracle (here) — the Grapple design: payloads are interval
-//     sequence encodings; merging uses the 4-case algorithm; feasibility
-//     decodes against the in-memory ICFET and solves with the built-in SMT
-//     solver; results are memoized in an LRU cache keyed by the encoding
-//     (§4.3, Table 4).
+//     sequence encodings; merging uses the 4-case algorithm.
 //   * ExplicitOracle (src/baseline) — the Table-5 baseline: payloads carry
 //     the constraint itself, growing with path length.
+// They share everything but the merge itself: feasibility decodes against
+// the in-memory ICFET and solves with the built-in SMT solver, and merges
+// are memoized exactly, keyed by the input payload pair (MergeMemo, §4.3,
+// Table 4).
 #ifndef GRAPPLE_SRC_GRAPH_CONSTRAINT_ORACLE_H_
 #define GRAPPLE_SRC_GRAPH_CONSTRAINT_ORACLE_H_
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <vector>
 
+#include "src/graph/merge_memo.h"
 #include "src/obs/metrics.h"
 #include "src/pathenc/constraint_decoder.h"
 #include "src/pathenc/path_encoding.h"
 #include "src/smt/solver.h"
-#include "src/support/lru_cache.h"
-#include "src/support/timer.h"
 
 namespace grapple {
 
 struct OracleStats {
   uint64_t merges = 0;
-  uint64_t constraints_checked = 0;  // actual decode+solve executions
-  uint64_t cache_hits = 0;
-  uint64_t unsat = 0;
+  uint64_t constraints_checked = 0;  // memo misses: merge+decode+solve executions
+  uint64_t cache_hits = 0;           // memo hits
+  uint64_t unsat = 0;                // misses that solved unsat (distinct unsat pairs)
   uint64_t unknown = 0;
-  double lookup_seconds = 0;  // encoding/decoding + cache probing
+  double lookup_seconds = 0;  // merge, decode and compaction on the miss path
   double solve_seconds = 0;   // SMT time
-
-  // The same numbers under the registry's counter names ("oracle_merges_total",
-  // "oracle_lookup_ns", ...), so snapshot-based consumers work with any
-  // oracle implementation.
-  obs::MetricsSnapshot ToSnapshot() const;
 };
 
 class ConstraintOracle {
  public:
-  virtual ~ConstraintOracle() = default;
-
-  // Payload for a base edge carrying `enc`.
-  virtual std::vector<uint8_t> BasePayload(const PathEncoding& enc) = 0;
-
-  // Payload representing the always-true constraint (used when widening).
-  virtual std::vector<uint8_t> TruePayload() = 0;
-
-  // Combines the payloads of two consecutive edges; returns the payload for
-  // the induced transitive edge, or nullopt when the combined constraint is
-  // unsatisfiable (the edge must not be added). Must be thread-safe.
-  virtual std::optional<std::vector<uint8_t>> MergeAndCheck(const uint8_t* a, size_t a_len,
-                                                            const uint8_t* b, size_t b_len) = 0;
-
-  virtual OracleStats Stats() const = 0;
-  virtual void ResetStats() = 0;
-
-  // Metrics snapshot under registry counter names. The default renders
-  // Stats() through OracleStats::ToSnapshot(); registry-backed oracles
-  // override it to expose their full snapshot (histograms included).
-  virtual obs::MetricsSnapshot Metrics() const { return Stats().ToSnapshot(); }
-};
-
-class IntervalOracle : public ConstraintOracle {
- public:
   struct Options {
-    size_t cache_capacity = size_t{1} << 16;
+    // Memoize merges by input pair (MergeMemo); false re-solves every merge.
     bool enable_cache = true;
-    // Encoding-length cap handed to PathEncoding::Merge.
-    size_t max_encoding_items = 64;
     SolverLimits solver_limits;
     // Adds a wait of this many microseconds to every actual solve, modeling
     // the per-call cost of an external SMT solver (the paper used Z3);
@@ -88,41 +55,75 @@ class IntervalOracle : public ConstraintOracle {
     bool simulated_solve_blocks = false;
   };
 
-  explicit IntervalOracle(const Icfet* icfet);
-  IntervalOracle(const Icfet* icfet, Options options);
+  virtual ~ConstraintOracle() = default;
 
-  std::vector<uint8_t> BasePayload(const PathEncoding& enc) override;
-  std::vector<uint8_t> TruePayload() override;
+  // Payload for a base edge carrying `enc`: its serialization, in both codecs.
+  std::vector<uint8_t> BasePayload(const PathEncoding& enc) const;
+
+  // Payload representing the always-true constraint (used when widening).
+  std::vector<uint8_t> TruePayload() const { return BasePayload(PathEncoding::Empty()); }
+
+  // Combines the payloads of two consecutive edges; returns the payload for
+  // the induced transitive edge, or nullopt when the combined constraint is
+  // unsatisfiable (the edge must not be added). Thread-safe. With the memo
+  // on, each distinct (a, b) pair runs MergeLocked() once; a repeat costs
+  // one memo probe.
   std::optional<std::vector<uint8_t>> MergeAndCheck(const uint8_t* a, size_t a_len,
-                                                    const uint8_t* b, size_t b_len) override;
-  OracleStats Stats() const override;
-  void ResetStats() override;
+                                                    const uint8_t* b, size_t b_len);
 
-  // Decodes and solves one payload directly (used by checkers on final
-  // edges, bypassing merge).
-  SolveResult CheckPayload(const uint8_t* payload, size_t len);
-  Constraint DecodePayload(const uint8_t* payload, size_t len);
+  OracleStats Stats() const;
+  void ResetStats() { metrics_.Reset(); }
+  // The oracle_* counters ("oracle_merges_total", "oracle_lookup_ns", ...)
+  // and the solve-time histogram.
+  obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
-  obs::MetricsSnapshot Metrics() const override { return metrics_.Snapshot(); }
+ protected:
+  ConstraintOracle(const Icfet* icfet, const Options& options);
 
- private:
-  SolveResult CheckEncodingLocked(const PathEncoding& enc, const std::string& key);
+  // The memo-miss path: merges `a` and `b` and decides the result with
+  // CheckLocked(). Runs under mu_.
+  virtual MergeMemo::Result MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
+                                        size_t b_len) = 0;
+  // Decodes and solves `full`, charging oracle_lookup_ns and
+  // oracle_solve_ns and counting the verdict. Runs under mu_.
+  SolveResult CheckLocked(const PathEncoding& full);
 
-  Options options_;
   mutable std::mutex mu_;
   PathDecoder decoder_;
-  Solver solver_;
-  LruCache<std::string, SolveResult> cache_;
-
   obs::MetricsRegistry metrics_;
+  obs::MetricId c_lookup_ns_;
+
+ private:
+  Options options_;
+  Solver solver_;
+  MergeMemo memo_;
   obs::MetricId c_merges_;
   obs::MetricId c_checked_;
   obs::MetricId c_cache_hits_;
   obs::MetricId c_unsat_;
   obs::MetricId c_unknown_;
-  obs::MetricId c_lookup_ns_;
   obs::MetricId c_solve_ns_;
   obs::MetricId h_solve_ns_;
+};
+
+class IntervalOracle : public ConstraintOracle {
+ public:
+  struct Options : ConstraintOracle::Options {
+    // Encoding-length cap handed to PathEncoding::Append.
+    size_t max_encoding_items = 64;
+  };
+
+  explicit IntervalOracle(const Icfet* icfet);
+  IntervalOracle(const Icfet* icfet, Options options);
+
+  // Decodes one payload's constraint (witness rendering).
+  Constraint DecodePayload(const uint8_t* payload, size_t len);
+
+ private:
+  MergeMemo::Result MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
+                                size_t b_len) override;
+
+  size_t max_encoding_items_;
 };
 
 }  // namespace grapple

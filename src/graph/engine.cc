@@ -675,9 +675,11 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     size_t shards = join_shards_;
     std::vector<std::vector<Candidate>> shard_candidates(shards);
     std::atomic<uint64_t> joins{0};
+    std::atomic<uint64_t> unsat{0};
     auto join_shard = [&](size_t shard, size_t begin, size_t end) {
       auto& out = shard_candidates[shard];
       uint64_t local_joins = 0;
+      uint64_t local_unsat = 0;
       for (size_t f = begin; f < end; ++f) {
         uint32_t idx = frontier[f];
         const auto& e1 = pair.EdgeAt(idx);
@@ -693,6 +695,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
             auto payload = oracle_->MergeAndCheck(pair.PayloadOf(e1), e1.payload_len,
                                                   pair.PayloadOf(e2), e2.payload_len);
             if (!payload.has_value()) {
+              ++local_unsat;
               continue;
             }
             uint64_t hash_a = 0;
@@ -734,6 +737,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
           auto payload = oracle_->MergeAndCheck(pair.PayloadOf(e0), e0.payload_len,
                                                 pair.PayloadOf(e1), e1.payload_len);
           if (!payload.has_value()) {
+            ++local_unsat;
             continue;
           }
           uint64_t hash_a = 0;
@@ -761,6 +765,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
         }
       }
       joins.fetch_add(local_joins, std::memory_order_relaxed);
+      unsat.fetch_add(local_unsat, std::memory_order_relaxed);
     };
     size_t frontier_size = frontier.size();
     size_t shards_used = std::min(frontier_size, shards);
@@ -798,6 +803,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       group.Wait();
     }
     metrics_.Add(c_joins_attempted_, joins.load());
+    metrics_.Add(c_unsat_pruned_, unsat.load());
     metrics_.Observe(h_join_round_joins_, joins.load());
 
     // --- sequential integration ---

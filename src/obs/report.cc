@@ -69,7 +69,7 @@ std::string RenderEngineSummary(const MetricsSnapshot& s) {
   uint64_t base = s.CounterOr("engine_base_edges_total");
   uint64_t final_edges = s.CounterOr("engine_final_edges_total");
   uint64_t added = s.CounterOr("engine_edges_added_total");
-  uint64_t pruned = s.CounterOr("engine_unsat_pruned_total") + s.CounterOr("oracle_unsat_total");
+  uint64_t pruned = s.CounterOr("engine_unsat_pruned_total");
   out << "edges: " << base << " -> " << final_edges << " (+" << added << " induced, " << pruned
       << " pruned unsat)\n";
   out << "partitions: " << static_cast<uint64_t>(s.GaugeOr("engine_num_partitions")) << " (peak "

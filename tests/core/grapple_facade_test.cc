@@ -81,25 +81,23 @@ TEST(GrappleFacadeTest, ValidateRejectsBadOptionsWithDescriptiveErrors) {
   GrappleOptions options;
   options.precision.loop_unroll = 0;
   options.engine.memory_budget_bytes = 0;
-  options.engine.cache_capacity = 0;
+  options.engine.max_encoding_items = 0;
   std::vector<std::string> errors = options.Validate();
   ASSERT_EQ(errors.size(), 3u);
   bool saw_unroll = false;
   bool saw_budget = false;
-  bool saw_cache = false;
+  bool saw_items = false;
   for (const auto& error : errors) {
     saw_unroll |= error.find("loop_unroll") != std::string::npos;
     saw_budget |= error.find("memory_budget_bytes") != std::string::npos;
-    saw_cache |= error.find("cache_capacity") != std::string::npos;
+    saw_items |= error.find("max_encoding_items") != std::string::npos;
   }
   EXPECT_TRUE(saw_unroll);
   EXPECT_TRUE(saw_budget);
-  EXPECT_TRUE(saw_cache);
+  EXPECT_TRUE(saw_items);
   EXPECT_TRUE(GrappleOptions().Validate().empty());
-  // Zero cache capacity is fine with the cache off.
   GrappleOptions no_cache;
   no_cache.engine.enable_cache = false;
-  no_cache.engine.cache_capacity = 0;
   EXPECT_TRUE(no_cache.Validate().empty());
 }
 

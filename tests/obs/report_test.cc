@@ -168,8 +168,8 @@ TEST_F(ReportEngineTest, SnapshotCountersMatchLegacyStats) {
   // The live Metrics() accessor agrees with the stored snapshot.
   EXPECT_EQ(engine.Metrics().CounterOr("engine_pair_loads_total"), stats.pair_loads);
 
-  // An unsat composition happened and was counted on one side or the other.
-  EXPECT_GT(stats.unsat_pruned + o.unsat, 0u);
+  // An unsat composition happened and the engine counted the pruned join.
+  EXPECT_GT(stats.unsat_pruned, 0u);
 }
 
 // On a spilling run every phase counter is charged; phase_ckpt_ns exists

@@ -5,7 +5,6 @@
 #include <filesystem>
 
 #include "src/support/byte_io.h"
-#include "src/support/lru_cache.h"
 #include "src/support/rng.h"
 #include "src/support/task_runtime.h"
 #include "src/support/timer.h"
@@ -81,37 +80,6 @@ TEST(ByteIoTest, TempDirRemovedOnDestruction) {
     WriteFileBytes(dir.File("x"), {1});
   }
   EXPECT_FALSE(std::filesystem::exists(path));
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  EXPECT_EQ(cache.Get(1), std::optional<int>(10));  // 1 becomes MRU
-  cache.Put(3, 30);                                 // evicts 2
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_EQ(cache.Get(1), std::optional<int>(10));
-  EXPECT_EQ(cache.Get(3), std::optional<int>(30));
-  EXPECT_EQ(cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, HitRateStats) {
-  LruCache<int, int> cache(4);
-  cache.Put(1, 1);
-  cache.Get(1);
-  cache.Get(1);
-  cache.Get(2);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_NEAR(cache.HitRate(), 2.0 / 3.0, 1e-9);
-}
-
-TEST(LruCacheTest, OverwriteKeepsSize) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 1);
-  cache.Put(1, 2);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Get(1), std::optional<int>(2));
 }
 
 // Sharded fan-out over a range via TaskGroup, the pattern the engine's
