@@ -14,7 +14,6 @@
 #include "bench/bench_util.h"
 #include "src/obs/event_log.h"
 #include "src/obs/profiler.h"
-#include "src/obs/sampler.h"
 #include "src/support/byte_io.h"
 
 namespace grapple {
@@ -232,35 +231,31 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
   bench->Add(std::move(pipeline));
 }
 
-// A/B of the unified work-stealing task runtime (DESIGN.md §14) against its
-// pinned mode, which reproduces the legacy twin-pool execution: every task
-// runs on its home worker only — join shards on the engine's homes, I/O
-// strands on each file's hashed home — so backlogs never overlap across
-// workers. Same spilling subject and budget as the I/O comparison so the
-// store's strands carry real traffic, with num_threads=2 so join-shard
-// tasks exist. Reports must be byte-identical across policies; the gated
-// gauges are the overlap ratio (store I/O executed on background lanes
-// rather than blocking the foreground) and the steal efficiency (affine
-// tasks that ran on their home worker despite stealing being enabled).
-void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
+// The unified work-stealing task runtime (DESIGN.md §14) on the spilling
+// subject and budget of the I/O comparison, so the store's strands carry
+// real traffic, with num_threads=2 so join-shard tasks exist. Reports must
+// be byte-identical to a 1-shard reference run; the gated gauges are the
+// overlap ratio (store I/O executed on background lanes rather than
+// blocking the foreground) and the steal efficiency (affine tasks that ran
+// on their home worker despite idle workers stealing).
+void RunTaskRuntime(obs::BenchReport* bench, const WorkloadConfig& preset) {
   GrappleOptions options = BenchOptions();
   options.engine.memory_budget_bytes = EnvSize("GRAPPLE_IO_BUDGET_BYTES", size_t{1} << 14);
-  options.scheduling.num_threads = 2;
   Workload workload = GenerateWorkload(preset);
 
-  struct ModeRun {
+  struct ShardRun {
     GrappleResult result;
     TaskRuntimeStats stats;
     double total_seconds = 0;
     double fg_io_seconds = 0;  // foreground blocking time in the io bucket
   };
-  auto run_mode = [&](StealPolicy policy) {
-    GrappleOptions mode_options = options;
-    mode_options.scheduling.steal_policy = policy;
+  auto run_shards = [&](size_t num_threads) {
+    GrappleOptions run_options = options;
+    run_options.scheduling.num_threads = num_threads;
     Program program = workload.program;
-    ModeRun run;
+    ShardRun run;
     WallTimer timer;
-    Grapple grapple(std::move(program), mode_options);
+    Grapple grapple(std::move(program), run_options);
     run.result = grapple.Check(AllBuiltinCheckers());
     run.total_seconds = timer.ElapsedSeconds();
     run.stats = grapple.RuntimeStats();
@@ -268,46 +263,42 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
     return run;
   };
 
-  ModeRun pinned = run_mode(StealPolicy::kPinned);
-  ModeRun unified = run_mode(StealPolicy::kLocalityAware);
+  ShardRun reference = run_shards(1);
+  ShardRun sharded = run_shards(2);
 
-  bool identical = ReportFingerprint(pinned.result) == ReportFingerprint(unified.result);
-  double speedup =
-      unified.total_seconds > 0 ? pinned.total_seconds / unified.total_seconds : 0;
-  const TaskRuntimeStats& s = unified.stats;
+  bool identical = ReportFingerprint(reference.result) == ReportFingerprint(sharded.result);
+  const TaskRuntimeStats& s = sharded.stats;
   double background_io_seconds =
       (s.busy_ns[static_cast<size_t>(TaskLane::kPrefetch)] +
        s.busy_ns[static_cast<size_t>(TaskLane::kWriteBehind)]) /
       1e9;
-  double io_overlap = background_io_seconds + unified.fg_io_seconds > 0
+  double io_overlap = background_io_seconds + sharded.fg_io_seconds > 0
                           ? background_io_seconds /
-                                (background_io_seconds + unified.fg_io_seconds)
+                                (background_io_seconds + sharded.fg_io_seconds)
                           : 0;
   double steal_efficiency =
       s.affine_tasks > 0 ? static_cast<double>(s.affine_hits) / s.affine_tasks : 1.0;
 
-  PrintHeaderLine("Task runtime: unified work-stealing vs pinned (legacy two-pool)");
-  std::printf("%-11s %9s %9s %8s %9s %8s %8s %10s\n", "Subject", "tt(pin)", "tt(uni)",
-              "speedup", "overlap", "steal-ef", "steals", "identical");
-  std::printf("%-11s %9s %9s %7.2fx %8.1f%% %7.1f%% %8" PRIu64 " %10s\n",
-              preset.name.c_str(), FormatDuration(pinned.total_seconds).c_str(),
-              FormatDuration(unified.total_seconds).c_str(), speedup, 100.0 * io_overlap,
+  PrintHeaderLine("Task runtime: 2 join shards vs a 1-shard reference");
+  std::printf("%-11s %9s %9s %9s %8s %8s %10s\n", "Subject", "tt(1sh)", "tt(2sh)", "overlap",
+              "steal-ef", "steals", "identical");
+  std::printf("%-11s %9s %9s %8.1f%% %7.1f%% %8" PRIu64 " %10s\n", preset.name.c_str(),
+              FormatDuration(reference.total_seconds).c_str(),
+              FormatDuration(sharded.total_seconds).c_str(), 100.0 * io_overlap,
               100.0 * steal_efficiency, s.steals, identical ? "yes" : "NO");
   std::printf("overlap is store I/O run on the prefetch/write-behind lanes as a share of\n");
   std::printf("all I/O time (background lanes + foreground blocking); steal-ef is the\n");
-  std::printf("share of pair-affine tasks that still ran on their home worker with\n");
-  std::printf("stealing enabled (%" PRIu64 " strand tasks, queue peak %" PRIu64 ").\n",
+  std::printf("share of pair-affine tasks that still ran on their home worker in the\n");
+  std::printf("2-shard run (%" PRIu64 " strand tasks, queue peak %" PRIu64 ").\n",
               s.strand_tasks, s.queue_peak);
 
   obs::RunReport report;
   report.subject = "task_runtime";
-  report.total_seconds = pinned.total_seconds + unified.total_seconds;
+  report.total_seconds = reference.total_seconds + sharded.total_seconds;
   obs::PhaseReport phase;
   phase.name = "task_runtime";
-  phase.seconds = unified.total_seconds;
-  phase.metrics.gauges["tr_total_seconds_pinned"] = pinned.total_seconds;
-  phase.metrics.gauges["tr_total_seconds_unified"] = unified.total_seconds;
-  phase.metrics.gauges["tr_speedup"] = speedup;
+  phase.seconds = sharded.total_seconds;
+  phase.metrics.gauges["tr_total_seconds"] = sharded.total_seconds;
   phase.metrics.gauges["tr_io_overlap"] = io_overlap;
   phase.metrics.gauges["tr_steal_efficiency"] = steal_efficiency;
   phase.metrics.gauges["tr_steals"] = static_cast<double>(s.steals);
@@ -315,7 +306,7 @@ void RunTaskRuntimeAb(obs::BenchReport* bench, const WorkloadConfig& preset) {
   phase.metrics.gauges["tr_strand_tasks"] = static_cast<double>(s.strand_tasks);
   phase.metrics.gauges["tr_inline_tasks"] = static_cast<double>(s.inline_tasks);
   phase.metrics.gauges["tr_queue_peak"] = static_cast<double>(s.queue_peak);
-  phase.metrics.gauges["tr_foreground_io_seconds"] = unified.fg_io_seconds;
+  phase.metrics.gauges["tr_foreground_io_seconds"] = sharded.fg_io_seconds;
   phase.metrics.gauges["tr_background_io_seconds"] = background_io_seconds;
   phase.metrics.gauges["tr_reports_identical"] = identical ? 1 : 0;
   phase.metrics.gauges["tr_budget_bytes"] =
@@ -403,10 +394,9 @@ void RunCheckpointOverhead(obs::BenchReport* bench, const WorkloadConfig& preset
   bench->Add(std::move(report));
 }
 
-// A/B of the always-on observability plane (flight-recorder event sink plus
-// the background metrics sampler) against a run with the recorder paused.
-// The acceptance criterion is that recorder + sampler together cost at most
-// 2% wall time at full scale — gated via the obs_overhead gauge by
+// A/B of the always-on flight-recorder event sink against a run with the
+// recorder paused. The acceptance criterion is that the recorder costs at
+// most 2% wall time at full scale — gated via the obs_overhead gauge by
 // check_bench.py from scale 1.0 up (smoke runs are too short to separate
 // the overhead from scheduler jitter, so the smoke-scale gate is only that
 // reports stay byte-identical with the recorder on). obs_overhead is
@@ -422,44 +412,32 @@ void RunObsOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   auto run_mode = [&](bool obs_on) {
     Program program = workload.program;
     ModeRun run;
-    if (obs_on) {
-      obs::EventLogSetEnabled(true);
-      obs::Sampler::Get().Start(50);
-    } else {
-      obs::Sampler::Get().Stop();
-      obs::EventLogSetEnabled(false);
-    }
+    obs::EventLogSetEnabled(obs_on);
     WallTimer timer;
     Grapple grapple(std::move(program), options);
     run.result = grapple.Check(AllBuiltinCheckers());
     run.total_seconds = timer.ElapsedSeconds();
-    if (obs_on) {
-      obs::Sampler::Get().Stop();
-    } else {
-      obs::EventLogSetEnabled(true);  // the recorder is on by default
-    }
+    obs::EventLogSetEnabled(true);  // the recorder is on by default
     return run;
   };
 
   ModeRun off = run_mode(false);
   ModeRun on = run_mode(true);
-  double samples = static_cast<double>(obs::Sampler::Get().sample_count());
   double events_live = static_cast<double>(obs::EventLogTail(0).size());
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double wall_delta = off.total_seconds > 0 ? on.total_seconds / off.total_seconds - 1.0 : 0;
   double overhead = std::max(0.0, wall_delta);
 
-  PrintHeaderLine("Observability: recorder+sampler on vs paused");
-  std::printf("%-11s %9s %9s %9s %8s %8s %10s\n", "Subject", "tt(off)", "tt(on)", "overhead",
-              "events", "samples", "identical");
-  std::printf("%-11s %9s %9s %8.2f%% %8.0f %8.0f %10s\n", preset.name.c_str(),
+  PrintHeaderLine("Observability: flight recorder on vs paused");
+  std::printf("%-11s %9s %9s %9s %8s %10s\n", "Subject", "tt(off)", "tt(on)", "overhead",
+              "events", "identical");
+  std::printf("%-11s %9s %9s %8.2f%% %8.0f %10s\n", preset.name.c_str(),
               FormatDuration(off.total_seconds).c_str(),
               FormatDuration(on.total_seconds).c_str(), 100.0 * overhead, events_live,
-              samples, identical ? "yes" : "NO");
-  std::printf("overhead is the wall-time cost of the flight-recorder sink plus the\n");
-  std::printf("%u ms metrics sampler (gated < 2%% from scale 1.0; raw A/B delta %+.1f%%).\n",
-              50u, 100.0 * wall_delta);
+              identical ? "yes" : "NO");
+  std::printf("overhead is the wall-time cost of the flight-recorder sink (gated < 2%%\n");
+  std::printf("from scale 1.0; raw A/B delta %+.1f%%).\n", 100.0 * wall_delta);
 
   obs::RunReport report;
   report.subject = "obs_overhead";
@@ -473,7 +451,6 @@ void RunObsOverhead(obs::BenchReport* bench, const WorkloadConfig& preset) {
   phase.metrics.gauges["obs_wall_delta"] = wall_delta;
   phase.metrics.gauges["obs_reports_identical"] = identical ? 1 : 0;
   phase.metrics.gauges["obs_events_live"] = events_live;
-  phase.metrics.gauges["obs_samples"] = samples;
   report.phases.push_back(std::move(phase));
   bench->Add(std::move(report));
 }
@@ -576,7 +553,7 @@ int Main() {
               obs::WitnessModeName(BenchOptions().observability.witness));
   RunSchedulerSpeedup(&bench, SchedulerSubject(scale));
   RunIoPipelineComparison(&bench, ZooKeeperPreset(scale));
-  RunTaskRuntimeAb(&bench, ZooKeeperPreset(scale));
+  RunTaskRuntime(&bench, ZooKeeperPreset(scale));
   RunCheckpointOverhead(&bench, ZooKeeperPreset(scale));
   RunObsOverhead(&bench, ZooKeeperPreset(scale));
   RunProfOverhead(&bench, ZooKeeperPreset(scale));

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
       grapple::FsmParseResult fsm = grapple::ParseFsmSpec(fsm_text);
       if (!fsm.ok) {
         std::fprintf(stderr, "%s: %s\n", argv[i], fsm.error.c_str());
-        return 1;
+        return 2;
       }
       specs.push_back(std::move(fsm.spec));
       continue;

@@ -104,8 +104,8 @@ DEFAULT_WATCH = [
         "tolerance": 0.5,
     },
     {
-        # Share of pair-affine tasks that ran on their home worker with
-        # locality-aware stealing enabled. A collapse here means thieves
+        # Share of pair-affine tasks that ran on their home worker while
+        # idle workers steal. A collapse here means thieves
         # stopped respecting locality hints (wasting the store's prefetch).
         "key": "table3_performance/task_runtime/task_runtime/gauge:tr_steal_efficiency",
         "direction": "higher_is_better",
@@ -113,8 +113,8 @@ DEFAULT_WATCH = [
         "tolerance": 0.75,
     },
     {
-        # Unified scheduling may not change a single report byte vs the
-        # pinned (legacy two-pool-equivalent) execution, at any scale.
+        # Two join shards may not change a single report byte vs a 1-shard
+        # reference run, at any scale.
         "key": "table3_performance/task_runtime/task_runtime/gauge:tr_reports_identical",
         "direction": "higher_is_better",
         "min": 1.0,
@@ -158,8 +158,8 @@ DEFAULT_WATCH = [
         "tolerance": 1.0,
     },
     {
-        # Acceptance criterion of the observability work: flight recorder +
-        # metrics sampler together cost at most 2% wall time. A full-scale
+        # Acceptance criterion of the observability work: the flight
+        # recorder costs at most 2% wall time. A full-scale
         # property — smoke runs are dominated by scheduler jitter — so the
         # ceiling applies from scale 1.0 up (the nightly sweep). The gauge
         # is clamped at zero (negative A/B deltas are jitter).

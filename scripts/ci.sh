@@ -13,9 +13,11 @@
 #                            # at a checkpoint crash point (simulated kill
 #                            # -9), resume it, and require byte-identical
 #                            # report JSON; plus the full in-tree crash
-#                            # sweep (recovery_test), and a check that
+#                            # sweep (recovery_test), and checks that
 #                            # GRAPPLE_CHECKPOINT=on without --work-dir
-#                            # exits 2 naming the invalid option
+#                            # exits 2 naming the invalid option and that
+#                            # a malformed --fsm spec exits 2 with the
+#                            # parser's line-attributed error
 #   scripts/ci.sh soak       # recovery soak: repeated kill -9 at every
 #                            # registered crash point and escalating
 #                            # ordinals against the example pipeline, each
@@ -157,6 +159,17 @@ run_recovery() {
     return 1
   fi
   grep -q 'robustness.checkpoint_interval' "${scratch}/no-work-dir.err"
+  echo "==> [recovery] a malformed FSM spec is refused (exit 2)"
+  printf 'fsm bad\ntypes T\nstate A accept initial\nstate B initial\n' \
+    > "${scratch}/bad.fsm"
+  status=0
+  "${build_dir}/examples/analyze_file" "${repo_root}/examples/testdata/leaky.grap" \
+    --fsm "${scratch}/bad.fsm" > /dev/null 2> "${scratch}/bad-fsm.err" || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "recovery: a malformed --fsm spec exited ${status}, want 2" >&2
+    return 1
+  fi
+  grep -q 'bad.fsm: line 4: second initial state' "${scratch}/bad-fsm.err"
 }
 
 # Recovery soak (nightly): kill -9 at every registered crash point, at
@@ -240,8 +253,7 @@ run_obs_smoke() {
   rm -rf "${out_dir}"
   mkdir -p "${out_dir}"
   echo "==> [obs] scale-0.3 bench run with statusz on 127.0.0.1:${port}"
-  GRAPPLE_SCALE=0.3 GRAPPLE_STATUSZ="${port}" GRAPPLE_SAMPLE_INTERVAL_MS=25 \
-    GRAPPLE_REPORT_DIR="${out_dir}" \
+  GRAPPLE_SCALE=0.3 GRAPPLE_STATUSZ="${port}" GRAPPLE_REPORT_DIR="${out_dir}" \
     "${build_dir}/bench/table3_performance" > "${out_dir}/bench.log" 2>&1 &
   local bench_pid=$!
   local base="http://127.0.0.1:${port}"

@@ -32,8 +32,10 @@ FsmParseResult ParseFsmSpec(const std::string& text) {
     std::string name;
     bool accept = false;
     bool initial = false;
+    int line;
   };
   std::vector<StateDecl> states;
+  int initial = -1;  // index into states of the `initial` declaration
   struct TransitionDecl {
     std::string from;
     std::string event;
@@ -73,6 +75,7 @@ FsmParseResult ParseFsmSpec(const std::string& text) {
       }
       StateDecl decl;
       decl.name = tokens[1];
+      decl.line = line_no;
       for (size_t i = 2; i < tokens.size(); ++i) {
         if (tokens[i] == "accept") {
           decl.accept = true;
@@ -86,6 +89,14 @@ FsmParseResult ParseFsmSpec(const std::string& text) {
         if (existing.name == decl.name) {
           return fail("duplicate state '" + decl.name + "'");
         }
+      }
+      if (decl.initial) {
+        if (initial >= 0) {
+          return fail("second initial state '" + decl.name + "' (line " +
+                      std::to_string(states[initial].line) + " declared '" +
+                      states[initial].name + "')");
+        }
+        initial = static_cast<int>(states.size());
       }
       states.push_back(decl);
     } else if (keyword == "event") {
@@ -112,10 +123,8 @@ FsmParseResult ParseFsmSpec(const std::string& text) {
   for (const auto& decl : states) {
     state_ids[decl.name] = fsm.AddState(decl.name, decl.accept);
   }
-  for (const auto& decl : states) {
-    if (decl.initial) {
-      fsm.SetInitial(state_ids[decl.name]);
-    }
+  if (initial >= 0) {
+    fsm.SetInitial(state_ids[states[initial].name]);
   }
   for (const auto& transition : transitions) {
     line_no = transition.line;
@@ -133,6 +142,11 @@ FsmParseResult ParseFsmSpec(const std::string& text) {
                   ")");
     }
     fsm.AddTransition(from->second, event, to->second);
+  }
+  if (std::none_of(states.begin(), states.end(),
+                   [](const StateDecl& decl) { return decl.accept; })) {
+    line_no = states.front().line;
+    return fail("no accept state declared; at least one state needs 'accept'");
   }
 
   result.ok = true;

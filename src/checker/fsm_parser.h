@@ -13,8 +13,9 @@
 //   event Open close Closed
 //
 // The first `state` line is the initial state unless another carries
-// `initial`. Undefined (state, event) pairs are erroneous, exactly as with
-// the built-in checkers (checker.h completes the FSM with an error sink).
+// `initial`; at most one may. At least one state must be `accept`.
+// Undefined (state, event) pairs are erroneous, exactly as with the
+// built-in checkers (checker.h completes the FSM with an error sink).
 #ifndef GRAPPLE_SRC_CHECKER_FSM_PARSER_H_
 #define GRAPPLE_SRC_CHECKER_FSM_PARSER_H_
 

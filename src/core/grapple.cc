@@ -14,7 +14,6 @@
 #include "src/obs/event_log.h"
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
-#include "src/obs/sampler.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
 #include "src/support/logging.h"
@@ -112,10 +111,6 @@ std::vector<std::string> GrappleOptions::Validate() const {
                      "thread; below that a crash dump is useless, above it the rings stop "
                      "being bounded-overhead");
   }
-  if (observability.sample_interval_ms < 10 || observability.sample_interval_ms > 600'000) {
-    errors.push_back("observability.sample_interval_ms must be in [10, 600000]; faster "
-                     "sampling contends with the workload it is measuring");
-  }
   if (observability.statusz_port < -1 || observability.statusz_port > 65535) {
     errors.push_back("observability.statusz_port must be -1 (off), 0 (ephemeral), or a valid "
                      "TCP port <= 65535");
@@ -133,14 +128,6 @@ std::vector<std::string> GrappleOptions::Validate() const {
       scheduling.checker_parallelism * scheduling.num_threads > 1024) {
     errors.push_back("scheduling: checker_parallelism * num_threads must be <= 1024 worker "
                      "threads; past that the scheduler is managing thread churn, not work");
-  }
-  for (size_t lane = 0; lane < kNumTaskLanes; ++lane) {
-    uint32_t weight = scheduling.lane_weights[lane];
-    if (weight == 0 || weight > 1024) {
-      errors.push_back("scheduling.lane_weights[" + std::to_string(lane) +
-                       "] must be in [1, 1024]: 0 would starve the lane outright, and huge "
-                       "credits defeat the round-robin that keeps lower lanes live");
-    }
   }
   return errors;
 }
@@ -166,9 +153,6 @@ void ApplyEnvOverrides(GrappleOptions* options) {
   if (int64_t threads = EnvInt64("GRAPPLE_THREADS", 0); threads > 0) {
     options->scheduling.num_threads = FitOrMax<size_t>(threads);
   }
-  if (const char* steal = EnvRaw("GRAPPLE_STEAL")) {
-    ParseStealPolicy(steal, &options->scheduling.steal_policy);
-  }
   options->engine.io_pipeline = EnvBool("GRAPPLE_IO_PIPELINE", options->engine.io_pipeline);
 
   GrappleOptions::Observability& observability = options->observability;
@@ -180,7 +164,6 @@ void ApplyEnvOverrides(GrappleOptions* options) {
     }
   }
   OverrideInteger("GRAPPLE_EVENTLOG_EVENTS", &observability.event_log_capacity);
-  OverrideInteger("GRAPPLE_SAMPLE_INTERVAL_MS", &observability.sample_interval_ms);
   OverrideInteger("GRAPPLE_STATUSZ", &observability.statusz_port);
   observability.profile = EnvBool("GRAPPLE_PROFILE", observability.profile);
   OverrideInteger("GRAPPLE_PROFILE_HZ", &observability.profile_hz);
@@ -282,14 +265,10 @@ Grapple::Grapple(Program program, GrappleOptions options)
   // One scheduler for the whole session (see Scheduling's worker formula):
   // checker tasks, join shards, and I/O strands share these workers instead
   // of carving the machine into per-purpose pools.
-  {
-    TaskRuntimeOptions rt_options;
-    size_t outer = ResolveThreadCount(options_.scheduling.checker_parallelism);
-    rt_options.workers = outer * ResolveThreadCount(options_.scheduling.num_threads) + 1;
-    rt_options.steal_policy = options_.scheduling.steal_policy;
-    rt_options.lane_weights = options_.scheduling.lane_weights;
-    runtime_ = std::make_unique<TaskRuntime>(rt_options);
-  }
+  runtime_ = std::make_unique<TaskRuntime>(
+      ResolveThreadCount(options_.scheduling.checker_parallelism) *
+          ResolveThreadCount(options_.scheduling.num_threads) +
+      1);
   IoRetryPolicy io_policy = GetIoRetryPolicy();
   io_policy.max_retries = options_.robustness.max_io_retries;
   io_policy.backoff_base_us = options_.robustness.backoff_base_us;
@@ -314,13 +293,12 @@ Grapple::Grapple(Program program, GrappleOptions options)
   obs::EventLogSetCrashDumpPath(work_dir_ + "/flightrec.bin");
 
   // Live introspection endpoint: off unless the option asks for a port. The
-  // listener and sampler are process-wide; the first session to start them
-  // owns their shutdown.
+  // listener is process-wide; the first session to start it owns its
+  // shutdown.
   if (options_.observability.statusz_port >= 0 && !obs::StatuszRunning()) {
     std::string statusz_error;
     if (obs::StartStatusz(options_.observability.statusz_port, &statusz_error)) {
       owns_statusz_ = true;
-      obs::Sampler::Get().Start(options_.observability.sample_interval_ms);
       GRAPPLE_LOG(INFO) << "statusz listening on 127.0.0.1:" << obs::StatuszPort();
     } else {
       GRAPPLE_LOG(WARNING) << "statusz disabled: " << statusz_error;
@@ -367,7 +345,6 @@ Grapple::Grapple(Program program, GrappleOptions options)
     obs::JsonWriter w;
     w.BeginObject();
     w.Key("workers").UInt(runtime_->workers());
-    w.Key("steal_policy").String(StealPolicyName(runtime_->steal_policy()));
     w.Key("lanes").BeginObject();
     for (size_t lane = 0; lane < kNumTaskLanes; ++lane) {
       w.Key(kLaneNames[lane]).BeginObject();
@@ -391,7 +368,6 @@ Grapple::~Grapple() {
   introspect_scheduler_.Release();
   introspect_session_.Release();
   if (owns_statusz_) {
-    obs::Sampler::Get().Stop();
     obs::StopStatusz();
   }
   if (owns_profiler_) {

@@ -23,7 +23,6 @@
 #ifndef GRAPPLE_SRC_CORE_GRAPPLE_H_
 #define GRAPPLE_SRC_CORE_GRAPPLE_H_
 
-#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,14 +103,9 @@ struct GrappleOptions {
     // slot per thread) and how far back a crash dump reaches. Range
     // [64, 1M].
     size_t event_log_capacity = 4096;
-    // Cadence of the background metrics sampler that feeds /varz time
-    // series. Only consulted when the statusz endpoint is on. Range
-    // [10ms, 10min].
-    uint32_t sample_interval_ms = 250;
     // Live introspection HTTP listener (loopback only): -1 = off,
     // 0 = pick an ephemeral port (see obs::StatuszPort()), else the literal
-    // port. Serves /healthz, /statusz, /metricsz, /tracez, /varz,
-    // /profilez.
+    // port. Serves /healthz, /statusz, /metricsz, /tracez, /profilez.
     int statusz_port = -1;
     // Wall-clock sampling profiler (obs/profiler.h, DESIGN.md §13). When
     // on, the session starts the process-wide profiler and persists the
@@ -143,16 +137,8 @@ struct GrappleOptions {
     // Inner concurrency: each engine splits its join loop into this many
     // shards (0 = hardware concurrency). The shard count — not the worker
     // count — is what the engine's deterministic integration order is keyed
-    // on, so changing worker counts or steal policy never changes results.
+    // on, so changing worker counts never changes results.
     size_t num_threads = 1;
-    // How idle workers take queued work from busy ones. kPinned disables
-    // stealing entirely, reproducing the legacy two-pool execution for A/B
-    // comparison.
-    StealPolicy steal_policy = StealPolicy::kLocalityAware;
-    // Weighted round-robin service credits per lane {foreground, prefetch,
-    // write_behind}: a worker serves up to weight[l] lane-l tasks before
-    // offering the next lane a turn. All entries must be in [1, 1024].
-    std::array<uint32_t, kNumTaskLanes> lane_weights = {4, 2, 1};
   };
 
   // Crash safety and I/O fault tolerance (DESIGN.md §11).
@@ -217,17 +203,12 @@ inline constexpr uint32_t kDefaultCheckpointInterval = 8;
 //                            session runtime is sized checker_parallelism x
 //                            num_threads + 1, so this scales the
 //                            per-checker factor only (DESIGN.md §14)
-//   GRAPPLE_STEAL            locality|always|pinned ->
-//                            scheduling.steal_policy; "pinned" disables
-//                            stealing (the legacy two-pool A/B control)
 //   GRAPPLE_IO_PIPELINE      on|off -> engine.io_pipeline; results are
 //                            byte-identical either way
 //   GRAPPLE_WITNESS          off|bugs|full -> observability.witness; an
 //                            unknown value warns and keeps the field
 //   GRAPPLE_EVENTLOG_EVENTS  integer -> observability.event_log_capacity
 //                            (flight-recorder ring size per thread)
-//   GRAPPLE_SAMPLE_INTERVAL_MS
-//                            integer -> observability.sample_interval_ms
 //   GRAPPLE_STATUSZ          integer -> observability.statusz_port (0 =
 //                            ephemeral port, -1 = off)
 //   GRAPPLE_PROFILE          on|off -> observability.profile
@@ -376,8 +357,8 @@ class Grapple {
   // live_mu_; written by checker workers, read by the scrape thread.
   mutable std::mutex live_mu_;
   std::map<std::string, std::string> live_checkers_;
-  // True when this session started the process-wide statusz listener /
-  // sampler (and so stops them on destruction).
+  // True when this session started the process-wide statusz listener (and
+  // so stops it on destruction).
   bool owns_statusz_ = false;
   // Same contract for the process-wide sampling profiler.
   bool owns_profiler_ = false;

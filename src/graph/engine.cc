@@ -136,14 +136,13 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_phase_join_ns_(metrics_.Counter("phase_join_ns")),
       owned_runtime_(options_.runtime != nullptr
                          ? nullptr
-                         : std::make_unique<TaskRuntime>(TaskRuntimeOptions{
+                         : std::make_unique<TaskRuntime>(
                                // One worker per join shard, plus one to
                                // service the background I/O lanes when the
                                // pipeline is on (mirrors the dedicated I/O
                                // worker the legacy two-pool layout had).
                                ResolveThreadCount(options_.num_threads) +
-                                   (options_.io_pipeline ? 1 : 0),
-                               StealPolicy::kLocalityAware})),
+                               (options_.io_pipeline ? 1 : 0))),
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
       store_(options_.work_dir, &metrics_,
@@ -671,7 +670,7 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     // Shard count is pinned to the configured join parallelism, not to the
     // runtime's worker count: shards cover contiguous frontier ranges and
     // are integrated in index order below, so the result is identical for
-    // any worker count and any steal policy.
+    // any worker count and any steal order.
     size_t shards = join_shards_;
     std::vector<std::vector<Candidate>> shard_candidates(shards);
     std::atomic<uint64_t> joins{0};
@@ -775,8 +774,8 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       }
     } else {
       // Explicit task objects on the unified runtime: one foreground task
-      // per contiguous shard, tagged with this pair's locality key so the
-      // locality-aware steal policy prefers to leave them where the pair's
+      // per contiguous shard, tagged with this pair's locality key so
+      // locality-aware stealing prefers to leave them where the pair's
       // Hint()ed partitions are warm. The group wait help-executes
       // unclaimed shards, so this cannot deadlock even when every runtime
       // worker is occupied by a checker task.

@@ -51,7 +51,7 @@ struct EngineOptions {
   // shards per round (1 = sequential, 0 = hardware concurrency). This is a
   // sharding factor, not a thread count: shard tasks run on `runtime`
   // (below), and because shards are integrated in index order the results
-  // are identical for any worker count or steal policy.
+  // are identical for any worker count or steal order.
   size_t num_threads = 1;
   // Non-owning task runtime that executes the engine's join shards and the
   // partition store's I/O strands. The facade injects its session runtime

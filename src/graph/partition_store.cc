@@ -44,9 +44,7 @@ PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
       // Standalone store (tests, tools): no shared scheduler was provided,
       // so spin up a private single-worker runtime. One worker makes every
       // strand trivially serial, matching the legacy dedicated I/O thread.
-      TaskRuntimeOptions options;
-      options.workers = 1;
-      owned_runtime_ = std::make_unique<TaskRuntime>(options);
+      owned_runtime_ = std::make_unique<TaskRuntime>(1);
       runtime_ = owned_runtime_.get();
     }
   }

@@ -301,7 +301,7 @@ class PartitionStore {
   uint64_t cache_bytes_ = 0;     // foreground-only: sum of charges
   uint64_t cache_borrowed_ = 0;  // capacity borrowed from the lease
   std::atomic<int64_t> queue_depth_{0};
-  // Mirror of cache_bytes_ for the /statusz sampler thread: cache_bytes_
+  // Mirror of cache_bytes_ for the /statusz scrape thread: cache_bytes_
   // itself is foreground-only, so scrapes read this relaxed copy instead.
   std::atomic<uint64_t> live_cache_bytes_{0};
   // Introspection registrations. Declared after the atomics they read (so

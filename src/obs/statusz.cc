@@ -9,7 +9,6 @@
 #include "src/obs/event_log.h"
 #include "src/obs/json.h"
 #include "src/obs/profiler.h"
-#include "src/obs/sampler.h"
 #include "src/support/socket_server.h"
 
 namespace grapple {
@@ -95,52 +94,6 @@ std::string FormatDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
-}
-
-// Percent-decodes enough of a query value for metric names (%xx and '+').
-std::string UrlDecode(const std::string& text) {
-  std::string out;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '+') {
-      out.push_back(' ');
-    } else if (text[i] == '%' && i + 2 < text.size()) {
-      auto hex = [](char c) -> int {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        return -1;
-      };
-      int hi = hex(text[i + 1]);
-      int lo = hex(text[i + 2]);
-      if (hi >= 0 && lo >= 0) {
-        out.push_back(static_cast<char>(hi * 16 + lo));
-        i += 2;
-        continue;
-      }
-      out.push_back(text[i]);
-    } else {
-      out.push_back(text[i]);
-    }
-  }
-  return out;
-}
-
-std::string QueryParam(const std::string& query, const std::string& key) {
-  size_t start = 0;
-  while (start <= query.size()) {
-    size_t amp = query.find('&', start);
-    std::string pair =
-        amp == std::string::npos ? query.substr(start) : query.substr(start, amp - start);
-    size_t eq = pair.find('=');
-    if (eq != std::string::npos && pair.substr(0, eq) == key) {
-      return UrlDecode(pair.substr(eq + 1));
-    }
-    if (amp == std::string::npos) {
-      break;
-    }
-    start = amp + 1;
-  }
-  return std::string();
 }
 
 struct ServerState {
@@ -312,7 +265,7 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot,
   return out;
 }
 
-IntrospectionPage RenderIntrospectionPage(const std::string& path, const std::string& query) {
+IntrospectionPage RenderIntrospectionPage(const std::string& path) {
   IntrospectionPage page;
   if (path == "/healthz") {
     page.body = "ok\n";
@@ -338,32 +291,8 @@ IntrospectionPage RenderIntrospectionPage(const std::string& path, const std::st
     page.body = ProfileToJson(ProfilerSnapshot());
     return page;
   }
-  if (path == "/varz") {
-    std::string name = QueryParam(query, "name");
-    if (name.empty()) {
-      page.status = 400;
-      page.body = "missing ?name=<series>\n";
-      return page;
-    }
-    std::vector<Sampler::Point> series = Sampler::Get().Series(name);
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("name").String(name);
-    w.Key("samples").BeginArray();
-    for (const Sampler::Point& point : series) {
-      w.BeginArray();
-      w.UInt(point.ts_ms);
-      w.Double(point.value);
-      w.EndArray();
-    }
-    w.EndArray();
-    w.EndObject();
-    page.content_type = "application/json";
-    page.body = w.Take();
-    return page;
-  }
   page.status = 404;
-  page.body = "not found; try /healthz /statusz /metricsz /tracez /profilez /varz?name=\n";
+  page.body = "not found; try /healthz /statusz /metricsz /tracez /profilez\n";
   return page;
 }
 
@@ -376,7 +305,7 @@ bool StartStatusz(int port, std::string* error) {
   return state.server.Start(
       port,
       [](const HttpRequest& request) {
-        IntrospectionPage page = RenderIntrospectionPage(request.path, request.query);
+        IntrospectionPage page = RenderIntrospectionPage(request.path);
         HttpResponse response;
         response.status = page.status;
         response.content_type = page.content_type;

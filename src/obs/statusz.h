@@ -16,7 +16,7 @@
 // Handles are move-only RAII registrations. Unregistering blocks while a
 // scrape is inside the callback (same lock), so a destructor that releases
 // its handle first can safely tear down the state the callback reads.
-// Callbacks run on the scrape/sampler thread and must be thread-safe; they
+// Callbacks run on the scrape thread and must be thread-safe; they
 // must not re-enter Introspection.
 //
 // Pages (enabled via GrappleOptions::Observability::statusz_port, which
@@ -26,7 +26,6 @@
 //   /statusz   JSON: session/status sources + runtime gauges
 //   /metricsz  Prometheus text exposition of the merged registries
 //   /tracez    recent flight-recorder tail (JSON)
-//   /varz?name=<series>  one sampler time-series as JSON
 #ifndef GRAPPLE_SRC_OBS_STATUSZ_H_
 #define GRAPPLE_SRC_OBS_STATUSZ_H_
 
@@ -94,7 +93,7 @@ struct IntrospectionPage {
   std::string content_type = "text/plain; charset=utf-8";
   std::string body;
 };
-IntrospectionPage RenderIntrospectionPage(const std::string& path, const std::string& query);
+IntrospectionPage RenderIntrospectionPage(const std::string& path);
 
 // Starts/stops the process-wide statusz server. Start is idempotent (a
 // second call while running succeeds and keeps the first server); Stop is

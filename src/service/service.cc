@@ -317,7 +317,7 @@ HttpResponse GrappleService::Handle(const HttpRequest& request) {
   if (request.path == "/check") {
     return HandleCheck(request);
   }
-  obs::IntrospectionPage page = obs::RenderIntrospectionPage(request.path, request.query);
+  obs::IntrospectionPage page = obs::RenderIntrospectionPage(request.path);
   HttpResponse response;
   response.status = page.status;
   response.content_type = page.content_type;

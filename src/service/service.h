@@ -24,7 +24,7 @@
 // is a JSON envelope that adds service metadata (ticket, warm/cached,
 // queue/check latency) and the per-request obs::RunReport.
 //
-// Every other path (/healthz /statusz /metricsz /tracez /varz /profilez)
+// Every other path (/healthz /statusz /metricsz /tracez /profilez)
 // renders the introspection pages; the service registers a "service" status
 // source (queue depth, resident sessions, per-tenant counters, exact
 // p50/p99 latency over the recent window) plus service_* metrics so one

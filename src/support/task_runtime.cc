@@ -9,8 +9,8 @@
 namespace grapple {
 namespace {
 
-// FNV-1a over the strand key: strands with the same key must map to the
-// same home worker so per-key FIFO order survives pinned-mode scheduling.
+// FNV-1a over the strand key, used as its pumps' affinity: one file's I/O
+// tasks home on one worker.
 uint64_t HashKey(const std::string& key) {
   uint64_t h = 1469598103934665603ull;
   for (unsigned char c : key) {
@@ -20,6 +20,10 @@ uint64_t HashKey(const std::string& key) {
   return h == 0 ? 1 : h;  // 0 means "no affinity"
 }
 
+// Weighted round-robin service credits per lane: a worker serves up to
+// kLaneWeights[l] lane-l tasks before offering the next lane a turn.
+constexpr std::array<uint32_t, kNumTaskLanes> kLaneWeights = {4, 2, 1};
+
 void MaxRelaxed(std::atomic<uint64_t>* slot, uint64_t value) {
   uint64_t seen = slot->load(std::memory_order_relaxed);
   while (value > seen &&
@@ -28,31 +32,6 @@ void MaxRelaxed(std::atomic<uint64_t>* slot, uint64_t value) {
 }
 
 }  // namespace
-
-const char* StealPolicyName(StealPolicy policy) {
-  switch (policy) {
-    case StealPolicy::kLocalityAware:
-      return "locality";
-    case StealPolicy::kAlways:
-      return "always";
-    case StealPolicy::kPinned:
-      return "pinned";
-  }
-  return "unknown";
-}
-
-bool ParseStealPolicy(const std::string& text, StealPolicy* out) {
-  if (text == "locality") {
-    *out = StealPolicy::kLocalityAware;
-  } else if (text == "always") {
-    *out = StealPolicy::kAlways;
-  } else if (text == "pinned") {
-    *out = StealPolicy::kPinned;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 size_t ResolveThreadCount(size_t requested) {
   return requested == 0 ? HardwareThreads() : requested;
@@ -96,13 +75,8 @@ void TaskGroup::Wait() {
   }
 }
 
-TaskRuntime::TaskRuntime(TaskRuntimeOptions options) : options_(options) {
-  size_t count = ResolveThreadCount(options_.workers);
-  for (auto& weight : options_.lane_weights) {
-    if (weight == 0) {
-      weight = 1;
-    }
-  }
+TaskRuntime::TaskRuntime(size_t workers) {
+  size_t count = ResolveThreadCount(workers);
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -171,7 +145,7 @@ void TaskRuntime::WakeOne(size_t home) {
     std::lock_guard<std::mutex> lock(sleep_mu_);
     if (workers_[home]->sleeping) {
       target = workers_[home].get();
-    } else if (options_.steal_policy != StealPolicy::kPinned) {
+    } else {
       for (auto& worker : workers_) {
         if (worker->sleeping) {
           target = worker.get();
@@ -179,10 +153,6 @@ void TaskRuntime::WakeOne(size_t home) {
         }
       }
     }
-    // Under kPinned only the home worker can run the task; everyone else
-    // would scan, take nothing, and park again. If home is awake it will
-    // rescan before parking (unclaimed_ is already published), so not
-    // waking anyone here is never a lost wakeup.
     if (target != nullptr) {
       // Clear the flag on the waker's side so a second Enqueue racing in
       // picks a different sleeper instead of double-notifying this one.
@@ -198,7 +168,11 @@ void TaskRuntime::WorkerLoop(size_t self) {
   Worker& me = *workers_[self];
   while (true) {
     Task task;
-    if (PopLocal(self, &task) || Steal(self, &task)) {
+    // Pass 1 steals only unhinted tasks — stealing a pair-affine task
+    // wastes the prefetch its home worker's Hint() issued. Pass 2 takes
+    // anything rather than idling.
+    if (PopLocal(self, &task) || StealScan(self, /*locality_pass=*/true, &task) ||
+        StealScan(self, /*locality_pass=*/false, &task)) {
       RunTask(task, self, /*inline_help=*/false);
       continue;
     }
@@ -207,32 +181,16 @@ void TaskRuntime::WorkerLoop(size_t self) {
         queued_.load(std::memory_order_acquire) == 0) {
       return;
     }
-    // Recheck for work this thread can actually reach before parking — a
-    // push may have landed between the failed scan and taking sleep_mu_,
-    // and its targeted wake may already have fired. Under kPinned only the
-    // own deque counts (a global check would busy-spin on other workers'
-    // unstealable backlogs); sleep_mu_ orders this against WakeOne, so a
-    // push is either seen here or finds `sleeping` set and notifies.
-    bool reachable;
-    if (options_.steal_policy == StealPolicy::kPinned) {
-      std::lock_guard<std::mutex> deque_lock(me.mu);
-      reachable = false;
-      for (const auto& lane : me.lanes) {
-        if (!lane.empty()) {
-          reachable = true;
-          break;
-        }
-      }
-    } else {
-      reachable = unclaimed_.load(std::memory_order_acquire) > 0;
-    }
-    if (reachable) {
+    // Recheck for work before parking — a push may have landed between the
+    // failed scan and taking sleep_mu_, and its targeted wake may already
+    // have fired. sleep_mu_ orders this against WakeOne, so a push is
+    // either seen here or finds `sleeping` set and notifies.
+    if (unclaimed_.load(std::memory_order_acquire) > 0) {
       continue;
     }
     me.sleeping = true;
-    // Timed wait as a backstop: in pinned mode another worker's backlog is
-    // not stealable, so this worker may sleep while queued_ > 0; the
-    // timeout also re-checks shutdown.
+    // Timed wait as a backstop: the timeout re-checks shutdown, so a
+    // worker's exit never depends on a notify alone.
     me.wake_cv.wait_for(lock, std::chrono::milliseconds(10));
     me.sleeping = false;
   }
@@ -264,23 +222,7 @@ bool TaskRuntime::PopLocal(size_t self, Task* out) {
       return false;
     }
     // Every non-empty lane has exhausted its credit: start a new round.
-    w.credits = options_.lane_weights;
-  }
-  return false;
-}
-
-bool TaskRuntime::Steal(size_t self, Task* out) {
-  switch (options_.steal_policy) {
-    case StealPolicy::kPinned:
-      return false;
-    case StealPolicy::kAlways:
-      return StealScan(self, /*locality_pass=*/false, out);
-    case StealPolicy::kLocalityAware:
-      // Pass 1 takes only unhinted tasks — stealing a pair-affine task
-      // wastes the prefetch its home worker's Hint() issued. Pass 2 takes
-      // anything rather than idling.
-      return StealScan(self, /*locality_pass=*/true, out) ||
-             StealScan(self, /*locality_pass=*/false, out);
+    w.credits = kLaneWeights;
   }
   return false;
 }

@@ -11,17 +11,14 @@
 // Scheduling model:
 //   * Per-worker deques, one FIFO per priority lane. Submission homes a
 //     task on its preferred worker (affinity % workers) or round-robin.
-//   * Three priority lanes, serviced by weighted round-robin so foreground
+//   * Three priority lanes, serviced by 4:2:1 weighted round-robin so foreground
 //     solve work preempts prefetch which preempts write-behind — but lower
 //     lanes are never starved (a worker with only write-behind work runs
 //     write-behind work).
-//   * Stealing is policy-controlled. kLocalityAware (default) prefers
-//     tasks without a locality hint, or hinted to the thief itself, and
-//     takes somebody else's hinted work only when nothing better exists —
-//     a stolen pair-affine task wastes the Hint() prefetch its home worker
-//     issued. kAlways steals the first runnable task (stress/testing).
-//     kPinned never steals: tasks run only on their home worker, which
-//     reproduces the legacy two-pool execution for A/B benchmarking.
+//   * Stealing is locality-aware: an idle worker first takes tasks without
+//     a locality hint and takes somebody else's hinted work only when
+//     nothing else exists — a stolen pair-affine task wastes the Hint()
+//     prefetch its home worker issued.
 //   * Waits help-execute. TaskGroup::Wait() runs the group's own unclaimed
 //     tasks inline and WaitSerial() pumps the awaited strand inline, so a
 //     blocked caller — even a checker task occupying the last worker —
@@ -64,28 +61,9 @@ enum class TaskLane : uint8_t {
 };
 inline constexpr size_t kNumTaskLanes = 3;
 
-enum class StealPolicy : uint8_t {
-  kLocalityAware = 0,  // default: respect affinity hints when stealing
-  kAlways = 1,         // steal anything runnable (contention stress)
-  kPinned = 2,         // never steal: legacy two-pool-equivalent mode
-};
-
-// "locality", "always", or "pinned".
-const char* StealPolicyName(StealPolicy policy);
-// Parses the names above (case-sensitive). False on anything else.
-bool ParseStealPolicy(const std::string& text, StealPolicy* out);
 // A thread-count option of 0 means "use the hardware concurrency",
 // uniformly wherever workers or shards are sized.
 size_t ResolveThreadCount(size_t requested);
-
-struct TaskRuntimeOptions {
-  // Worker threads. 0 = hardware concurrency.
-  size_t workers = 0;
-  StealPolicy steal_policy = StealPolicy::kLocalityAware;
-  // Weighted round-robin service credits per lane; a worker serves up to
-  // weight[l] tasks from lane l before looking at lane l+1. All >= 1.
-  std::array<uint32_t, kNumTaskLanes> lane_weights = {4, 2, 1};
-};
 
 // Monotonic counters, snapshotted with Stats(). All totals since
 // construction; "affine" means submitted with a nonzero affinity key.
@@ -128,14 +106,14 @@ class TaskGroup {
 
 class TaskRuntime {
  public:
-  explicit TaskRuntime(TaskRuntimeOptions options = {});
+  // `workers` threads; 0 = hardware concurrency.
+  explicit TaskRuntime(size_t workers = 0);
   // Drains every queued task (groups, strands), then joins the workers.
   ~TaskRuntime();
   TaskRuntime(const TaskRuntime&) = delete;
   TaskRuntime& operator=(const TaskRuntime&) = delete;
 
   size_t workers() const { return workers_.size(); }
-  StealPolicy steal_policy() const { return options_.steal_policy; }
   // Thread id of worker `index`. Introspection for tests and debugging:
   // lets a caller map an observed std::this_thread::get_id() back to the
   // worker that executed a task.
@@ -194,10 +172,10 @@ class TaskRuntime {
 
   void Enqueue(Task task);
   void WorkerLoop(size_t self);
-  // Pops the next task from `self`'s own deques honoring lane weights.
+  // Pops the next task from `self`'s own deques honoring kLaneWeights.
   bool PopLocal(size_t self, Task* out);
-  // Steal pass per the configured policy. False when nothing was taken.
-  bool Steal(size_t self, Task* out);
+  // One pass over the other workers' deques; a locality pass skips hinted
+  // tasks. False when nothing was taken.
   bool StealScan(size_t self, bool locality_pass, Task* out);
   // Finds and removes an unclaimed task of `group` from any deque.
   bool PopGroupTask(TaskGroup* group, Task* out);
@@ -208,12 +186,10 @@ class TaskRuntime {
   // false). Used by both the worker pump and WaitSerial.
   void PumpStrand(const std::string& key, bool from_worker);
 
-  // Wakes one sleeping worker able to reach a task homed at `home` (the
-  // home worker itself under kPinned; any sleeper otherwise, preferring
-  // home). No-op when every worker is awake — they rescan before parking.
+  // Wakes one sleeping worker, preferring the task's home worker. No-op
+  // when every worker is awake — they rescan before parking.
   void WakeOne(size_t home);
 
-  TaskRuntimeOptions options_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> next_home_{0};
   std::atomic<size_t> queued_{0};

@@ -75,12 +75,24 @@ TEST(FsmParserTest, RejectsDuplicates) {
   EXPECT_FALSE(ParseFsmSpec("fsm t\ntypes T\nstate A\nstate A\n").ok);
   EXPECT_FALSE(
       ParseFsmSpec("fsm t\ntypes T\nstate A\nstate B\nevent A go B\nevent A go A\n").ok);
+  // A second `initial` used to win silently over the first.
+  FsmParseResult two_initial =
+      ParseFsmSpec("fsm t\ntypes T\nstate A accept initial\nstate B initial\n");
+  ASSERT_FALSE(two_initial.ok);
+  EXPECT_NE(two_initial.error.find("line 4"), std::string::npos) << two_initial.error;
+  EXPECT_NE(two_initial.error.find("'B'"), std::string::npos) << two_initial.error;
 }
 
 TEST(FsmParserTest, RejectsEmptySpecs) {
   EXPECT_FALSE(ParseFsmSpec("").ok);
   EXPECT_FALSE(ParseFsmSpec("fsm t\nstate A\n").ok);  // no types
   EXPECT_FALSE(ParseFsmSpec("fsm t\ntypes T\n").ok);  // no states
+  // No accept state: attributed to the first state declaration.
+  FsmParseResult no_accept =
+      ParseFsmSpec("fsm t\ntypes T\nstate A initial\nstate B\nevent A go B\n");
+  ASSERT_FALSE(no_accept.ok);
+  EXPECT_NE(no_accept.error.find("line 3"), std::string::npos) << no_accept.error;
+  EXPECT_NE(no_accept.error.find("accept"), std::string::npos) << no_accept.error;
 }
 
 TEST(FsmParserTest, ParsedSpecDrivesThePipeline) {

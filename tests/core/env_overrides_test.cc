@@ -24,9 +24,8 @@ namespace grapple {
 namespace {
 
 constexpr const char* kKnobs[] = {
-    "GRAPPLE_THREADS",          "GRAPPLE_STEAL",
-    "GRAPPLE_IO_PIPELINE",      "GRAPPLE_WITNESS",
-    "GRAPPLE_EVENTLOG_EVENTS",  "GRAPPLE_SAMPLE_INTERVAL_MS",
+    "GRAPPLE_THREADS",          "GRAPPLE_IO_PIPELINE",
+    "GRAPPLE_WITNESS",          "GRAPPLE_EVENTLOG_EVENTS",
     "GRAPPLE_STATUSZ",          "GRAPPLE_PROFILE",
     "GRAPPLE_PROFILE_HZ",       "GRAPPLE_IO_RETRIES",
     "GRAPPLE_IO_BACKOFF_US",    "GRAPPLE_CHECKPOINT",
@@ -60,11 +59,9 @@ class ApplyEnvOverridesTest : public ::testing::Test {
 // Every field a knob maps onto, as one comparable string.
 std::string Describe(const GrappleOptions& o) {
   return "threads=" + std::to_string(o.scheduling.num_threads) +
-         " steal=" + StealPolicyName(o.scheduling.steal_policy) +
          " io_pipeline=" + std::to_string(o.engine.io_pipeline) +
          " witness=" + obs::WitnessModeName(o.observability.witness) +
          " events=" + std::to_string(o.observability.event_log_capacity) +
-         " sample_ms=" + std::to_string(o.observability.sample_interval_ms) +
          " statusz=" + std::to_string(o.observability.statusz_port) +
          " profile=" + std::to_string(o.observability.profile) +
          " hz=" + std::to_string(o.observability.profile_hz) +
@@ -88,12 +85,6 @@ TEST_F(ApplyEnvOverridesTest, EachKnobSetsItsFieldAndOnlyThat) {
       {"GRAPPLE_THREADS", "0", ignored},
       {"GRAPPLE_THREADS", "-2", ignored},
       {"GRAPPLE_THREADS", "2x", ignored},
-      {"GRAPPLE_STEAL", "pinned",
-       [](GrappleOptions* o) { o->scheduling.steal_policy = StealPolicy::kPinned; }},
-      {"GRAPPLE_STEAL", "always",
-       [](GrappleOptions* o) { o->scheduling.steal_policy = StealPolicy::kAlways; }},
-      {"GRAPPLE_STEAL", "bogus", ignored},
-      {"GRAPPLE_STEAL", "", ignored},
       {"GRAPPLE_IO_PIPELINE", "off", [](GrappleOptions* o) { o->engine.io_pipeline = false; }},
       {"GRAPPLE_IO_PIPELINE", "0", [](GrappleOptions* o) { o->engine.io_pipeline = false; }},
       {"GRAPPLE_IO_PIPELINE", "maybe", ignored},
@@ -110,8 +101,6 @@ TEST_F(ApplyEnvOverridesTest, EachKnobSetsItsFieldAndOnlyThat) {
       {"GRAPPLE_EVENTLOG_EVENTS", "128",
        [](GrappleOptions* o) { o->observability.event_log_capacity = 128; }},
       {"GRAPPLE_EVENTLOG_EVENTS", "lots", ignored},
-      {"GRAPPLE_SAMPLE_INTERVAL_MS", "25",
-       [](GrappleOptions* o) { o->observability.sample_interval_ms = 25; }},
       {"GRAPPLE_STATUSZ", "0", [](GrappleOptions* o) { o->observability.statusz_port = 0; }},
       {"GRAPPLE_STATUSZ", "8931",
        [](GrappleOptions* o) { o->observability.statusz_port = 8931; }},
@@ -153,7 +142,6 @@ TEST_F(ApplyEnvOverridesTest, EachKnobSetsItsFieldAndOnlyThat) {
 TEST_F(ApplyEnvOverridesTest, UnsetKnobsKeepTheCallersOptions) {
   GrappleOptions custom;
   custom.scheduling.num_threads = 4;
-  custom.scheduling.steal_policy = StealPolicy::kAlways;
   custom.engine.io_pipeline = false;
   custom.observability.witness = obs::WitnessMode::kFull;
   custom.observability.profile = true;
@@ -190,7 +178,6 @@ TEST_F(ApplyEnvOverridesTest, OutOfRangeValuesReachValidate) {
     const char* field;  // named by the Validate() message
   };
   const Case cases[] = {
-      {{{"GRAPPLE_SAMPLE_INTERVAL_MS", "1"}}, "observability.sample_interval_ms"},
       {{{"GRAPPLE_EVENTLOG_EVENTS", "-1"}}, "observability.event_log_capacity"},
       {{{"GRAPPLE_EVENTLOG_EVENTS", "8"}}, "observability.event_log_capacity"},
       {{{"GRAPPLE_STATUSZ", "70000"}}, "observability.statusz_port"},
@@ -227,7 +214,6 @@ TEST_F(ApplyEnvOverridesTest, GrappleBuiltWithoutItIgnoresTheEnvironment) {
     }
   )");
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  ::setenv("GRAPPLE_STEAL", "pinned", 1);
   ::setenv("GRAPPLE_THREADS", "3", 1);
   ::setenv("GRAPPLE_WITNESS", "off", 1);
   Grapple analyzer(std::move(parsed.program), GrappleOptions());
@@ -241,7 +227,6 @@ TEST_F(ApplyEnvOverridesTest, GrappleBuiltWithoutItIgnoresTheEnvironment) {
   const obs::JsonValue* session = sources->Find("session");
   ASSERT_NE(scheduler, nullptr);
   ASSERT_NE(session, nullptr);
-  EXPECT_EQ(scheduler->StringOr("steal_policy", ""), "locality");
   // checker_parallelism 1 x num_threads 1, plus the background-I/O worker.
   EXPECT_EQ(scheduler->NumberOr("workers", 0), 2);
   EXPECT_EQ(session->StringOr("witness_mode", ""), "bugs");

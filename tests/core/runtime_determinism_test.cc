@@ -2,7 +2,7 @@
 // engine integrates frontier shards in shard-index order and the shard
 // count is derived from options.scheduling.num_threads — never from the
 // runtime's worker count or from which worker ran a task — so reports must
-// be byte-identical for every worker count, steal policy, and repeat.
+// be byte-identical for every worker count and repeat.
 // scheduler_test.cc pins the checker-level contract; this file varies the
 // runtime-level knobs underneath it.
 #include <gtest/gtest.h>
@@ -51,13 +51,11 @@ std::string Fingerprint(const GrappleResult& result) {
   return out;
 }
 
-std::string RunFingerprint(size_t checker_parallelism, size_t num_threads,
-                           StealPolicy policy = StealPolicy::kLocalityAware) {
+std::string RunFingerprint(size_t checker_parallelism, size_t num_threads) {
   Workload workload = GenerateWorkload(DeterminismConfig());
   GrappleOptions options;
   options.scheduling.checker_parallelism = checker_parallelism;
   options.scheduling.num_threads = num_threads;
-  options.scheduling.steal_policy = policy;
   options.engine.memory_budget_bytes = uint64_t{64} << 20;
   Grapple grapple(std::move(workload.program), options);
   GrappleResult result = grapple.Check({MakeIoCheckerSpec(), MakeLockCheckerSpec()});
@@ -75,14 +73,13 @@ TEST(RuntimeDeterminismTest, ByteIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(sequential, RunFingerprint(2, 4));
 }
 
-TEST(RuntimeDeterminismTest, ByteIdenticalAcrossStealPoliciesAndRepeats) {
+TEST(RuntimeDeterminismTest, ByteIdenticalAcrossRepeats) {
   std::string baseline = RunFingerprint(/*checker_parallelism=*/2, /*num_threads=*/2);
-  for (StealPolicy policy :
-       {StealPolicy::kAlways, StealPolicy::kPinned, StealPolicy::kLocalityAware}) {
-    // Twice per policy: stealing (or its absence) must not leak into
+  for (size_t num_threads : {1, 2, 4}) {
+    // Twice per shard count: which worker steals what must not leak into
     // results even across the scheduling races of distinct runs.
-    EXPECT_EQ(baseline, RunFingerprint(2, 2, policy)) << "policy=" << StealPolicyName(policy);
-    EXPECT_EQ(baseline, RunFingerprint(2, 2, policy)) << "policy=" << StealPolicyName(policy);
+    EXPECT_EQ(baseline, RunFingerprint(2, num_threads)) << "num_threads=" << num_threads;
+    EXPECT_EQ(baseline, RunFingerprint(2, num_threads)) << "num_threads=" << num_threads;
   }
 }
 

@@ -40,9 +40,7 @@ TEST(MetricsRegistryTest, ConcurrentAddsFromTaskRuntime) {
   constexpr size_t kPerItem = 16;
   constexpr size_t kItems = 2048;
   constexpr size_t kShards = 8;
-  TaskRuntimeOptions options;
-  options.workers = kShards;
-  TaskRuntime runtime(options);
+  TaskRuntime runtime(kShards);
   TaskGroup group(&runtime);
   constexpr size_t kChunk = (kItems + kShards - 1) / kShards;
   for (size_t shard = 0; shard < kShards; ++shard) {

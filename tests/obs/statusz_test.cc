@@ -1,7 +1,7 @@
 // Live introspection endpoint: page routing/rendering, the Prometheus
 // exposition, the registration hub, and a real HTTP scrape against a
 // running analysis. Own test binary: it binds sockets and mutates the
-// process-wide statusz/sampler singletons.
+// process-wide statusz singletons.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -17,7 +17,6 @@
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
 #include "src/obs/json.h"
-#include "src/obs/sampler.h"
 #include "src/obs/statusz.h"
 
 namespace grapple {
@@ -59,21 +58,21 @@ std::string HttpGet(int port, const std::string& path_and_query, int* status_out
 }
 
 TEST(StatuszTest, PageRouting) {
-  IntrospectionPage healthz = RenderIntrospectionPage("/healthz", "");
+  IntrospectionPage healthz = RenderIntrospectionPage("/healthz");
   EXPECT_EQ(healthz.status, 200);
   EXPECT_EQ(healthz.body, "ok\n");
 
-  EXPECT_EQ(RenderIntrospectionPage("/statusz", "").status, 200);
-  EXPECT_EQ(RenderIntrospectionPage("/metricsz", "").status, 200);
-  EXPECT_EQ(RenderIntrospectionPage("/tracez", "").status, 200);
-  EXPECT_EQ(RenderIntrospectionPage("/varz", "").status, 400);  // missing name
-  IntrospectionPage missing = RenderIntrospectionPage("/nonsense", "");
+  EXPECT_EQ(RenderIntrospectionPage("/statusz").status, 200);
+  EXPECT_EQ(RenderIntrospectionPage("/metricsz").status, 200);
+  EXPECT_EQ(RenderIntrospectionPage("/tracez").status, 200);
+  EXPECT_EQ(RenderIntrospectionPage("/varz").status, 404);  // removed route
+  IntrospectionPage missing = RenderIntrospectionPage("/nonsense");
   EXPECT_EQ(missing.status, 404);
   // The 404 page advertises every route, including the profiler's.
   EXPECT_NE(missing.body.find("/profilez"), std::string::npos);
 
   // /profilez always serves valid profile JSON, even with the profiler off.
-  IntrospectionPage profilez = RenderIntrospectionPage("/profilez", "");
+  IntrospectionPage profilez = RenderIntrospectionPage("/profilez");
   EXPECT_EQ(profilez.status, 200);
   EXPECT_EQ(profilez.content_type, "application/json");
   std::string error;
@@ -189,12 +188,10 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   GrappleOptions options;
   options.observability.statusz_port = 0;  // ephemeral
-  options.observability.sample_interval_ms = 10;
   Grapple analyzer(std::move(parsed.program), options);
   ASSERT_TRUE(StatuszRunning());
   int port = StatuszPort();
   ASSERT_GT(port, 0);
-  EXPECT_TRUE(Sampler::Get().running());
 
   std::atomic<bool> done{false};
   std::atomic<bool> scraping{false};
@@ -250,11 +247,6 @@ TEST(StatuszTest, ScrapeDuringAnalysisRun) {
   std::string tracez = HttpGet(port, "/tracez", &status);
   ASSERT_EQ(status, 200);
   EXPECT_TRUE(ParseJson(tracez, &error).has_value()) << error;
-
-  // /varz serves a sampled series once the sampler has ticked.
-  std::string varz = HttpGet(port, "/varz?name=rss_bytes", &status);
-  ASSERT_EQ(status, 200);
-  EXPECT_TRUE(ParseJson(varz, &error).has_value()) << error;
 }
 
 }  // namespace

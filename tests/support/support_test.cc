@@ -85,9 +85,7 @@ TEST(ByteIoTest, TempDirRemovedOnDestruction) {
 // Sharded fan-out over a range via TaskGroup, the pattern the engine's
 // join loop uses. Deeper scheduler coverage lives in task_runtime_test.cc.
 TEST(TaskRuntimeTest, GroupFanOutCoversRange) {
-  TaskRuntimeOptions options;
-  options.workers = 4;
-  TaskRuntime runtime(options);
+  TaskRuntime runtime(4);
   constexpr size_t kItems = 1000;
   constexpr size_t kShards = 4;
   constexpr size_t kChunk = (kItems + kShards - 1) / kShards;
@@ -111,9 +109,7 @@ TEST(TaskRuntimeTest, GroupFanOutCoversRange) {
 TEST(TaskRuntimeTest, DestructorDrainsSubmittedTasks) {
   std::atomic<int> count{0};
   {
-    TaskRuntimeOptions options;
-    options.workers = 2;
-    TaskRuntime runtime(options);
+    TaskRuntime runtime(2);
     for (int i = 0; i < 50; ++i) {
       runtime.Submit(TaskLane::kWriteBehind, /*affinity=*/0, [&] { count.fetch_add(1); });
     }

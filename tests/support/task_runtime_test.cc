@@ -1,4 +1,4 @@
-// TaskRuntime scheduling semantics: steal policies under contention, lane
+// TaskRuntime scheduling semantics: stealing under contention, lane
 // priority and non-starvation, affinity homing, strand FIFO/mutual
 // exclusion, inline help-execution, and shutdown draining. The engine-level
 // "byte-identical results for any worker count" guarantee is covered by
@@ -36,12 +36,10 @@ bool SpinUntil(const std::function<bool()>& pred) {
 }
 
 TEST(TaskRuntimeTest, StealUnderContentionRunsAllTasksAcrossWorkers) {
-  // Every task is homed on the same worker; with kAlways the other three
-  // workers must steal the backlog, and nothing may be lost or run twice.
-  TaskRuntimeOptions options;
-  options.workers = 4;
-  options.steal_policy = StealPolicy::kAlways;
-  TaskRuntime runtime(options);
+  // Every task is homed on the same worker; the other three workers must
+  // steal the hinted backlog in their second (take-anything) pass, and
+  // nothing may be lost or run twice.
+  TaskRuntime runtime(4);
   constexpr int kTasks = 256;
   std::atomic<int> ran{0};
   std::mutex mu;
@@ -69,43 +67,12 @@ TEST(TaskRuntimeTest, StealUnderContentionRunsAllTasksAcrossWorkers) {
   EXPECT_GE(executors.size(), 2u);
 }
 
-TEST(TaskRuntimeTest, PinnedPolicyNeverStealsAndHonorsAffinity) {
-  TaskRuntimeOptions options;
-  options.workers = 4;
-  options.steal_policy = StealPolicy::kPinned;
-  TaskRuntime runtime(options);
-  constexpr int kTasks = 32;
-  // affinity 5 % 4 workers = home worker 1, for every task.
-  std::thread::id home = runtime.WorkerThreadId(1);
-  std::atomic<int> ran{0};
-  std::atomic<int> on_home{0};
-  for (int i = 0; i < kTasks; ++i) {
-    runtime.Submit(TaskLane::kForeground, /*affinity=*/5, [&] {
-      if (std::this_thread::get_id() == home) {
-        on_home.fetch_add(1);
-      }
-      ran.fetch_add(1);
-    });
-  }
-  // Fire-and-forget on purpose: TaskGroup::Wait() would help-execute the
-  // backlog inline and muddy the on-home accounting.
-  EXPECT_TRUE(SpinUntil([&] { return ran.load() == kTasks; }));
-  EXPECT_EQ(on_home.load(), kTasks);
-  TaskRuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.steals, 0u);
-  EXPECT_EQ(stats.affine_tasks, static_cast<uint64_t>(kTasks));
-  EXPECT_EQ(stats.affine_hits, static_cast<uint64_t>(kTasks));
-}
-
-// Shared scaffolding for the two steal-order tests: park both workers on
-// blocker tasks, queue one pair-affine task A and one unhinted task P on
-// worker 0's deque (in that FIFO order), then free only the worker-1
-// thread and record the order in which it executes the backlog.
-std::vector<std::string> StealOrderScenario(StealPolicy policy) {
-  TaskRuntimeOptions options;
-  options.workers = 2;
-  options.steal_policy = policy;
-  TaskRuntime runtime(options);
+TEST(TaskRuntimeTest, LocalityAwareStealTakesUnhintedWorkFirst) {
+  // Park both workers on blocker tasks, queue one pair-affine task A and
+  // one unhinted task P on worker 0's deque (in that FIFO order), then free
+  // only the worker-1 thread and record the order in which it executes the
+  // backlog.
+  TaskRuntime runtime(2);
   std::atomic<int> started{0};
   std::array<std::atomic<bool>, 2> release{};
   std::array<std::thread::id, 2> blocker_tid;
@@ -144,21 +111,10 @@ std::vector<std::string> StealOrderScenario(StealPolicy policy) {
   }));
   EXPECT_GE(runtime.Stats().steals, 2u);
   release[1 - free_me].store(true);
-  return order;
-}
-
-TEST(TaskRuntimeTest, LocalityAwareStealTakesUnhintedWorkFirst) {
   // A was queued first, but it carries a locality hint for the parked
   // worker; the thief's first pass skips it and takes P, and only the
   // nothing-better-to-do second pass takes A.
-  EXPECT_EQ(StealOrderScenario(StealPolicy::kLocalityAware),
-            (std::vector<std::string>{"P", "A"}));
-}
-
-TEST(TaskRuntimeTest, AlwaysStealTakesOldestRunnableTask) {
-  // Same setup, kAlways: the thief ignores the hint and drains FIFO.
-  EXPECT_EQ(StealOrderScenario(StealPolicy::kAlways),
-            (std::vector<std::string>{"A", "P"}));
+  EXPECT_EQ(order, (std::vector<std::string>{"P", "A"}));
 }
 
 // Parks the single worker of `runtime` on a blocker task and returns once
@@ -175,10 +131,7 @@ void ParkSoleWorker(TaskRuntime* runtime, std::atomic<bool>* release) {
 }
 
 TEST(TaskRuntimeTest, ForegroundLaneRunsBeforeWriteBehindBacklog) {
-  TaskRuntimeOptions options;
-  options.workers = 1;
-  options.lane_weights = {4, 2, 1};
-  TaskRuntime runtime(options);
+  TaskRuntime runtime(1);
   std::atomic<bool> release{false};
   ParkSoleWorker(&runtime, &release);
 
@@ -207,10 +160,7 @@ TEST(TaskRuntimeTest, ForegroundLaneRunsBeforeWriteBehindBacklog) {
 }
 
 TEST(TaskRuntimeTest, WriteBehindIsNotStarvedByForegroundBacklog) {
-  TaskRuntimeOptions options;
-  options.workers = 1;
-  options.lane_weights = {4, 2, 1};
-  TaskRuntime runtime(options);
+  TaskRuntime runtime(1);
   std::atomic<bool> release{false};
   ParkSoleWorker(&runtime, &release);
 
@@ -234,10 +184,9 @@ TEST(TaskRuntimeTest, WriteBehindIsNotStarvedByForegroundBacklog) {
 }
 
 TEST(TaskRuntimeTest, StrandsRunFifoAndMutuallyExcludedPerKey) {
-  TaskRuntimeOptions options;
-  options.workers = 4;
-  options.steal_policy = StealPolicy::kAlways;  // stress the exclusion
-  TaskRuntime runtime(options);
+  // Four workers: pumps for one key are homed together, so the other three
+  // steal them in their second pass — the exclusion is under contention.
+  TaskRuntime runtime(4);
   constexpr int kPerKey = 64;
   struct KeyState {
     std::atomic<int> active{0};
@@ -280,9 +229,7 @@ TEST(TaskRuntimeTest, WaitSerialDrainsInlineWhenAllWorkersAreBusy) {
   // The partition store's deadlock-avoidance path: a checker task (here the
   // main thread) waits on an I/O strand while every worker is occupied.
   // WaitSerial must execute the strand itself rather than deadlock.
-  TaskRuntimeOptions options;
-  options.workers = 1;
-  TaskRuntime runtime(options);
+  TaskRuntime runtime(1);
   std::atomic<bool> release{false};
   ParkSoleWorker(&runtime, &release);
 
@@ -307,9 +254,7 @@ TEST(TaskRuntimeTest, WaitSerialDrainsInlineWhenAllWorkersAreBusy) {
 TEST(TaskRuntimeTest, ShutdownDrainsQueuedStrandBacklog) {
   std::atomic<int> count{0};
   {
-    TaskRuntimeOptions options;
-    options.workers = 2;
-    TaskRuntime runtime(options);
+    TaskRuntime runtime(2);
     for (int i = 0; i < 40; ++i) {
       runtime.SubmitSerial("s" + std::to_string(i % 4), TaskLane::kWriteBehind,
                            [&] { count.fetch_add(1); });
@@ -317,19 +262,6 @@ TEST(TaskRuntimeTest, ShutdownDrainsQueuedStrandBacklog) {
     // Destructor must run every queued strand task before joining.
   }
   EXPECT_EQ(count.load(), 40);
-}
-
-TEST(TaskRuntimeTest, StealPolicyNamesRoundTrip) {
-  for (StealPolicy policy : {StealPolicy::kLocalityAware, StealPolicy::kAlways,
-                             StealPolicy::kPinned}) {
-    StealPolicy parsed;
-    ASSERT_TRUE(ParseStealPolicy(StealPolicyName(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  StealPolicy out;
-  EXPECT_FALSE(ParseStealPolicy("", &out));
-  EXPECT_FALSE(ParseStealPolicy("LOCALITY", &out));
-  EXPECT_FALSE(ParseStealPolicy("random", &out));
 }
 
 }  // namespace

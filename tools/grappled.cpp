@@ -2,7 +2,7 @@
 //
 // Serves POST /check (subject IR as the body, tenant/priority/checkers as
 // query parameters) plus the live introspection pages (/healthz /statusz
-// /metricsz /tracez /varz /profilez) on one loopback port. Requests pass
+// /metricsz /tracez /profilez) on one loopback port. Requests pass
 // admission control (bounded, tenant-fair), a checker-slot arbiter, and a
 // session cache that keeps hot subjects' phase-1 alias state resident —
 // see src/service/service.h for the protocol and fairness contracts.
