@@ -6,7 +6,8 @@
 #   scripts/ci.sh sanitize   # ASan/UBSan build + ctest only
 #   scripts/ci.sh tsan       # ThreadSanitizer build; full ctest, then the
 #                            # concurrent-scheduler pipeline on a generated
-#                            # workload under GRAPPLE_CHECKER_PARALLELISM=4
+#                            # workload under GRAPPLE_CHECKER_PARALLELISM=4,
+#                            # once more with GRAPPLE_THREADS=2 join shards
 #   scripts/ci.sh bench      # smoke-scale bench sweep + trajectory report
 #                            # plus a sample witness report (bench-reports/)
 #   scripts/ci.sh recovery   # crash/resume smoke: kill the example pipeline
@@ -458,6 +459,12 @@ run_tsan() {
   echo "==> [tsan] concurrent scheduler pipeline (parallelism=4)"
   mkdir -p "${build_dir}/bench-reports"
   GRAPPLE_SCALE="${GRAPPLE_SCALE:-0.1}" GRAPPLE_CHECKER_PARALLELISM=4 \
+    GRAPPLE_REPORT_DIR="${build_dir}/bench-reports" \
+    "${build_dir}/bench/table3_performance"
+  # Two join shards per engine: the lock-free memo probes and the
+  # shard-ordered commit run concurrently end to end, not only in ctest.
+  echo "==> [tsan] concurrent scheduler pipeline (parallelism=4, 2 join shards)"
+  GRAPPLE_SCALE="${GRAPPLE_SCALE:-0.1}" GRAPPLE_CHECKER_PARALLELISM=4 GRAPPLE_THREADS=2 \
     GRAPPLE_REPORT_DIR="${build_dir}/bench-reports" \
     "${build_dir}/bench/table3_performance"
 }

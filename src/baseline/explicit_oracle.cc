@@ -55,35 +55,36 @@ ExplicitOracle::ExplicitOracle(const Icfet* icfet) : ExplicitOracle(icfet, Optio
 ExplicitOracle::ExplicitOracle(const Icfet* icfet, Options options)
     : ConstraintOracle(icfet, options), max_items_(options.max_items) {}
 
-MergeMemo::Result ExplicitOracle::MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
-                                              size_t b_len) {
+SolveResult ExplicitOracle::MergeBytes(Shard* shard, PayloadBytes a, PayloadBytes b,
+                                       std::vector<uint8_t>* out) {
   WallTimer merge_timer;
   // Plain byte-level concatenation of the two item sequences: adjust the
   // leading item count, keep everything else verbatim. No fusion, no
   // cancellation — the formula grows with path length.
-  ByteReader ra(a, a_len);
-  ByteReader rb(b, b_len);
+  ByteReader ra(a.data, a.size);
+  ByteReader rb(b.data, b.size);
   uint64_t count_a = ra.GetVarint64();
   uint64_t count_b = rb.GetVarint64();
-  std::vector<uint8_t> bytes;
+  std::vector<uint8_t>& bytes = *out;
   if (count_a + count_b > max_items_) {
     // Backstop: keep the first formula, weaken the rest to `true`.
-    ByteReader full_a(a, a_len);
+    ByteReader full_a(a.data, a.size);
     PathEncoding left = PathEncoding::Deserialize(&full_a);
     PathEncoding capped = PathEncoding::Append(left, PathEncoding::Opaque(), max_items_);
     capped.Serialize(&bytes);
   } else {
     PutVarint64(&bytes, count_a + count_b);
-    bytes.insert(bytes.end(), a + ra.position(), a + a_len);
-    bytes.insert(bytes.end(), b + rb.position(), b + b_len);
+    bytes.insert(bytes.end(), a.data + ra.position(), a.data + a.size);
+    bytes.insert(bytes.end(), b.data + rb.position(), b.data + b.size);
   }
   ByteReader reader(bytes.data(), bytes.size());
   PathEncoding full = PathEncoding::Deserialize(&reader);
   metrics_.AddNanos(c_lookup_ns_, merge_timer.ElapsedNanos());
-  if (CheckLocked(full) == SolveResult::kUnsat) {
-    return std::nullopt;
+  SolveResult verdict = Check(shard, full);
+  if (verdict == SolveResult::kUnsat) {
+    bytes.clear();
   }
-  return bytes;
+  return verdict;
 }
 
 }  // namespace grapple

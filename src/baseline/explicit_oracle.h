@@ -43,8 +43,8 @@ class ExplicitOracle : public ConstraintOracle {
   ExplicitOracle(const Icfet* icfet, Options options);
 
  private:
-  MergeMemo::Result MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
-                                size_t b_len) override;
+  SolveResult MergeBytes(Shard* shard, PayloadBytes a, PayloadBytes b,
+                         std::vector<uint8_t>* out) override;
 
   size_t max_items_;
 };

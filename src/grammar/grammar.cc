@@ -1,5 +1,7 @@
 #include "src/grammar/grammar.h"
 
+#include <algorithm>
+
 #include "src/support/logging.h"
 
 namespace grapple {
@@ -14,7 +16,10 @@ Label Grammar::Intern(const std::string& name) {
   names_.push_back(name);
   by_name_.emplace(name, label);
   mirror_.push_back(kNoLabel);
-  begins_binary_.push_back(0);
+  unary_.emplace_back();
+  binary_.emplace_back();
+  seconds_after_.emplace_back();
+  firsts_before_.emplace_back();
   return label;
 }
 
@@ -33,9 +38,28 @@ const std::string& Grammar::NameOf(Label label) const {
 
 void Grammar::AddUnary(Label single, Label result) { unary_[single].push_back(result); }
 
+namespace {
+
+// Inserts `label` into the ascending list unless it is already there.
+void InsertSorted(std::vector<Label>* labels, Label label) {
+  auto it = std::lower_bound(labels->begin(), labels->end(), label);
+  if (it == labels->end() || *it != label) {
+    labels->insert(it, label);
+  }
+}
+
+}  // namespace
+
 void Grammar::AddBinary(Label first, Label second, Label result) {
-  binary_[PairKey(first, second)].push_back(result);
-  begins_binary_[first] = 1;
+  std::vector<Rule>& rules = binary_[first];
+  auto it = std::lower_bound(rules.begin(), rules.end(), second,
+                             [](const Rule& rule, Label l) { return rule.second < l; });
+  if (it == rules.end() || it->second != second) {
+    it = rules.insert(it, Rule{second, {}});
+  }
+  it->results.push_back(result);
+  InsertSorted(&seconds_after_[first], second);
+  InsertSorted(&firsts_before_[second], first);
 }
 
 void Grammar::SetMirror(Label label, Label mirror) {
@@ -43,18 +67,12 @@ void Grammar::SetMirror(Label label, Label mirror) {
   mirror_[mirror] = label;
 }
 
-const std::vector<Label>& Grammar::UnaryResults(Label single) const {
-  auto it = unary_.find(single);
-  return it == unary_.end() ? empty_ : it->second;
-}
-
 const std::vector<Label>& Grammar::BinaryResults(Label first, Label second) const {
-  auto it = binary_.find(PairKey(first, second));
-  return it == binary_.end() ? empty_ : it->second;
+  static const std::vector<Label> kNone;
+  const std::vector<Rule>& rules = binary_[first];
+  auto it = std::lower_bound(rules.begin(), rules.end(), second,
+                             [](const Rule& rule, Label l) { return rule.second < l; });
+  return it == rules.end() || it->second != second ? kNone : it->results;
 }
-
-Label Grammar::MirrorOf(Label label) const { return mirror_[label]; }
-
-bool Grammar::CanBeginBinary(Label first) const { return begins_binary_[first] != 0; }
 
 }  // namespace grapple

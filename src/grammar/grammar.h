@@ -36,26 +36,36 @@ class Grammar {
   // may mirror themselves.
   void SetMirror(Label label, Label mirror);
 
-  const std::vector<Label>& UnaryResults(Label single) const;
+  const std::vector<Label>& UnaryResults(Label single) const { return unary_[single]; }
+  // Results of `first second`, empty when no rule has that body. A binary
+  // search in `first`'s sparse rule list.
   const std::vector<Label>& BinaryResults(Label first, Label second) const;
-  Label MirrorOf(Label label) const;  // kNoLabel when none
+  Label MirrorOf(Label label) const { return mirror_[label]; }
+
+  // Sparse partner lists, ascending: the labels that can follow `first`
+  // (resp. precede `second`) in some binary rule. The join loop visits only
+  // adjacent edges carrying these labels.
+  const std::vector<Label>& SecondsAfter(Label first) const { return seconds_after_[first]; }
+  const std::vector<Label>& FirstsBefore(Label second) const { return firsts_before_[second]; }
 
   // True when `first` can start some binary rule — a cheap pre-filter for
   // the join loop.
-  bool CanBeginBinary(Label first) const;
+  bool CanBeginBinary(Label first) const { return !seconds_after_[first].empty(); }
 
  private:
-  static uint32_t PairKey(Label a, Label b) {
-    return (static_cast<uint32_t>(a) << 16) | b;
-  }
+  struct Rule {
+    Label second;
+    std::vector<Label> results;
+  };
 
   std::vector<std::string> names_;
   std::unordered_map<std::string, Label> by_name_;
-  std::unordered_map<Label, std::vector<Label>> unary_;
-  std::unordered_map<uint32_t, std::vector<Label>> binary_;
+  // All indexed by label.
+  std::vector<std::vector<Label>> unary_;
+  std::vector<std::vector<Rule>> binary_;  // by first, sorted by second
+  std::vector<std::vector<Label>> seconds_after_;
+  std::vector<std::vector<Label>> firsts_before_;
   std::vector<Label> mirror_;
-  std::vector<uint8_t> begins_binary_;
-  std::vector<Label> empty_;
 };
 
 }  // namespace grapple

@@ -8,14 +8,23 @@
 //     the constraint itself, growing with path length.
 // They share everything but the merge itself: feasibility decodes against
 // the in-memory ICFET and solves with the built-in SMT solver, and merges
-// are memoized exactly, keyed by the input payload pair (MergeMemo, §4.3,
+// are memoized exactly, keyed by the input payload ids (MergeMemo, §4.3,
 // Table 4).
+//
+// The oracle owns its engine's payload id space (PayloadTable): payloads
+// are named by ids everywhere in the join loop. Merges run in join rounds
+// (DESIGN.md §16): during a round the table and the memo are read-only, and
+// shards probe them without a lock. A miss is merged and solved on the
+// shard's own worker and buffered; CommitRound() then interns the buffered
+// results and memoizes their pairs, in shard order, on one thread. So ids
+// and counters do not depend on thread timing, and the oracle_* counters
+// count exactly what a sequential run would: oracle_constraints_checked_total
+// is the number of distinct pairs committed.
 #ifndef GRAPPLE_SRC_GRAPH_CONSTRAINT_ORACLE_H_
 #define GRAPPLE_SRC_GRAPH_CONSTRAINT_ORACLE_H_
 
 #include <cstdint>
-#include <mutex>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "src/graph/merge_memo.h"
@@ -28,9 +37,9 @@ namespace grapple {
 
 struct OracleStats {
   uint64_t merges = 0;
-  uint64_t constraints_checked = 0;  // memo misses: merge+decode+solve executions
-  uint64_t cache_hits = 0;           // memo hits
-  uint64_t unsat = 0;                // misses that solved unsat (distinct unsat pairs)
+  uint64_t constraints_checked = 0;  // distinct pairs merged+decoded+solved
+  uint64_t cache_hits = 0;           // merges answered by an earlier merge
+  uint64_t unsat = 0;                // checked pairs that solved unsat
   uint64_t unknown = 0;
   double lookup_seconds = 0;  // merge, decode and compaction on the miss path
   double solve_seconds = 0;   // SMT time
@@ -55,7 +64,10 @@ class ConstraintOracle {
     bool simulated_solve_blocks = false;
   };
 
-  virtual ~ConstraintOracle() = default;
+  // Merge() outcome for an unsat pair: the induced edge must not be added.
+  static constexpr uint32_t kUnsat = MergeMemo::kNone;
+
+  virtual ~ConstraintOracle();
 
   // Payload for a base edge carrying `enc`: its serialization, in both codecs.
   std::vector<uint8_t> BasePayload(const PathEncoding& enc) const;
@@ -63,13 +75,31 @@ class ConstraintOracle {
   // Payload representing the always-true constraint (used when widening).
   std::vector<uint8_t> TruePayload() const { return BasePayload(PathEncoding::Empty()); }
 
-  // Combines the payloads of two consecutive edges; returns the payload for
-  // the induced transitive edge, or nullopt when the combined constraint is
-  // unsatisfiable (the edge must not be added). Thread-safe. With the memo
-  // on, each distinct (a, b) pair runs MergeLocked() once; a repeat costs
-  // one memo probe.
-  std::optional<std::vector<uint8_t>> MergeAndCheck(const uint8_t* a, size_t a_len,
-                                                    const uint8_t* b, size_t b_len);
+  // --- payload ids (not during a round) ---
+  uint32_t Intern(const std::vector<uint8_t>& bytes) {
+    return payloads_.Intern(bytes.data(), bytes.size());
+  }
+  PayloadBytes Bytes(uint32_t id) const { return payloads_.Bytes(id); }
+
+  // --- join rounds ---
+  // Opens a round with `shards` empty miss buffers.
+  void BeginRound(size_t shards);
+  // Merges payloads `a` and `b` on behalf of `shard`: kUnsat, or a token
+  // naming the merged payload. Calls for distinct shards may run
+  // concurrently. A token is a payload id when the pair was memoized before
+  // the round; otherwise it names the shard's buffered miss until
+  // CommitRound() (BytesOf and Resolve accept both).
+  uint32_t Merge(size_t shard, uint32_t a, uint32_t b);
+  // The bytes a sat token names (thread-safe like Merge).
+  PayloadBytes BytesOf(size_t shard, uint32_t token) const;
+  // Interns the buffered results and memoizes their pairs, shard by shard,
+  // and folds the round into the oracle_* counters. Single-threaded.
+  void CommitRound();
+  // The payload id of a sat token, after CommitRound().
+  uint32_t Resolve(size_t shard, uint32_t token) const;
+
+  // One merge outside any round: kUnsat or the merged payload's id.
+  uint32_t MergeAndCheck(uint32_t a, uint32_t b);
 
   OracleStats Stats() const;
   void ResetStats() { metrics_.Reset(); }
@@ -78,25 +108,29 @@ class ConstraintOracle {
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
  protected:
+  // One shard's decoder, solver and miss buffer (defined in the .cc).
+  struct Shard;
+
   ConstraintOracle(const Icfet* icfet, const Options& options);
 
-  // The memo-miss path: merges `a` and `b` and decides the result with
-  // CheckLocked(). Runs under mu_.
-  virtual MergeMemo::Result MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
-                                        size_t b_len) = 0;
-  // Decodes and solves `full`, charging oracle_lookup_ns and
-  // oracle_solve_ns and counting the verdict. Runs under mu_.
-  SolveResult CheckLocked(const PathEncoding& full);
+  // The miss path: merges `a` and `b` into `out` (left empty when unsat)
+  // and decides the full path with Check(). Runs on the shard's worker.
+  virtual SolveResult MergeBytes(Shard* shard, PayloadBytes a, PayloadBytes b,
+                                 std::vector<uint8_t>* out) = 0;
+  // Decodes and solves `full` with the shard's decoder and solver,
+  // charging oracle_lookup_ns and oracle_solve_ns.
+  SolveResult Check(Shard* shard, const PathEncoding& full);
 
-  mutable std::mutex mu_;
-  PathDecoder decoder_;
+  const Icfet* icfet_;
   obs::MetricsRegistry metrics_;
   obs::MetricId c_lookup_ns_;
 
  private:
   Options options_;
-  Solver solver_;
+  PayloadTable payloads_;
   MergeMemo memo_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  size_t round_shards_ = 0;
   obs::MetricId c_merges_;
   obs::MetricId c_checked_;
   obs::MetricId c_cache_hits_;
@@ -120,8 +154,8 @@ class IntervalOracle : public ConstraintOracle {
   Constraint DecodePayload(const uint8_t* payload, size_t len);
 
  private:
-  MergeMemo::Result MergeLocked(const uint8_t* a, size_t a_len, const uint8_t* b,
-                                size_t b_len) override;
+  SolveResult MergeBytes(Shard* shard, PayloadBytes a, PayloadBytes b,
+                         std::vector<uint8_t>* out) override;
 
   size_t max_encoding_items_;
 };

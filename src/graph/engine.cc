@@ -4,7 +4,6 @@
 #include <atomic>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/graph/checkpoint.h"
 #include "src/obs/event_log.h"
@@ -20,43 +19,67 @@ namespace grapple {
 
 namespace {
 
+// A join result waiting for integration. `payload` is the oracle's token
+// for the merged payload: a payload id, or (for a pair first merged this
+// round) a reference into the producing shard's miss buffer until the
+// round commits.
 struct Candidate {
-  VertexId src = 0;
-  VertexId dst = 0;
-  Label label = kNoLabel;
-  std::vector<uint8_t> payload;
-  // Provenance (only filled when recording): content hashes + identities of
-  // the two parent edges the join consumed.
+  VertexId src;
+  VertexId dst;
+  Label label;
+  uint32_t payload;
+};
+static_assert(sizeof(Candidate) == 16, "candidates stay 16 bytes");
+
+// Provenance of a candidate (only kept when recording): content hashes and
+// identities of the two parent edges the join consumed.
+struct CandidateProvenance {
   uint64_t parent_a = 0;
   uint64_t parent_b = 0;
   obs::ProvEdge a_edge;
   obs::ProvEdge b_edge;
 };
 
-obs::ProvEdge ProvEdgeOf(const EdgeRecord& record) {
+obs::ProvEdge ProvEdgeOf(VertexId src, VertexId dst, Label label) {
   obs::ProvEdge edge;
-  edge.src = record.src;
-  edge.dst = record.dst;
-  edge.label = record.label;
+  edge.src = src;
+  edge.dst = dst;
+  edge.label = label;
   return edge;
+}
+
+uint64_t ContentHashOf(VertexId src, VertexId dst, Label label, PayloadBytes payload) {
+  return EdgeContentHash(src, dst, label, payload.data, payload.size);
 }
 
 }  // namespace
 
 // In-memory view of the two loaded partitions plus everything induced while
-// they are resident.
+// they are resident. Edges name their payloads by id. Adjacency is grouped
+// by label: each owned vertex keeps one bucket per label among its out-
+// (resp. in-) edges, and each bucket chains its edges in ascending index
+// through the edges themselves, so a join visits only the buckets whose
+// label the grammar can pair with, with no per-vertex allocation. In-edges
+// are kept only for owned targets: joins look up owned vertices only.
 class GraphEngine::LoadedPair {
  public:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
   struct MemEdge {
     VertexId src;
     VertexId dst;
     Label label;
-    uint32_t payload_off;
-    uint32_t payload_len;
+    uint32_t payload;   // id in the oracle's payload table
+    uint32_t next_out;  // next edge in src's bucket for this label
+    uint32_t next_in;   // next edge in dst's bucket for this label
   };
 
   LoadedPair(VertexId lo1, VertexId hi1, VertexId lo2, VertexId hi2)
-      : lo1_(lo1), hi1_(hi1), lo2_(lo2), hi2_(hi2) {}
+      : lo1_(lo1), hi1_(hi1), lo2_(lo2), hi2_(hi2) {
+    size_t slots = (hi1 - lo1) + (lo2 == lo1 ? 0 : hi2 - lo2);
+    out_head_.assign(slots, kNil);
+    in_head_.assign(slots, kNil);
+  }
 
   bool Owns(VertexId v) const {
     return (v >= lo1_ && v < hi1_) || (v >= lo2_ && v < hi2_);
@@ -64,50 +87,130 @@ class GraphEngine::LoadedPair {
 
   size_t NumEdges() const { return edges_.size(); }
   const MemEdge& EdgeAt(size_t i) const { return edges_[i]; }
-  const uint8_t* PayloadOf(const MemEdge& e) const { return arena_.data() + e.payload_off; }
-  uint64_t arena_bytes() const { return arena_.size(); }
-
-  const std::vector<uint32_t>& OutOf(VertexId v) const {
-    auto it = out_.find(v);
-    return it == out_.end() ? empty_ : it->second;
-  }
-  const std::vector<uint32_t>& InOf(VertexId v) const {
-    auto it = in_.find(v);
-    return it == in_.end() ? empty_ : it->second;
-  }
+  // Payload bytes held by the resident edges: what the memory budget meters.
+  uint64_t resident_bytes() const { return resident_bytes_; }
 
   // Appends without any checks (caller already dedup'd globally).
-  uint32_t Insert(VertexId src, VertexId dst, Label label, const uint8_t* payload, size_t len) {
+  uint32_t Insert(VertexId src, VertexId dst, Label label, uint32_t payload, size_t payload_len) {
     uint32_t idx = static_cast<uint32_t>(edges_.size());
-    MemEdge e;
-    e.src = src;
-    e.dst = dst;
-    e.label = label;
-    e.payload_off = static_cast<uint32_t>(arena_.size());
-    e.payload_len = static_cast<uint32_t>(len);
-    arena_.insert(arena_.end(), payload, payload + len);
-    edges_.push_back(e);
-    out_[src].push_back(idx);
-    in_[dst].push_back(idx);
+    edges_.push_back({src, dst, label, payload, kNil, kNil});
+    resident_bytes_ += payload_len;
+    Link(&out_head_[SlotOf(src)], label, idx, &MemEdge::next_out);
+    if (Owns(dst)) {
+      Link(&in_head_[SlotOf(dst)], label, idx, &MemEdge::next_in);
+    }
     return idx;
   }
 
-  EdgeRecord ToRecord(const MemEdge& e) const {
-    EdgeRecord record;
-    record.src = e.src;
-    record.dst = e.dst;
-    record.label = e.label;
-    record.payload.assign(PayloadOf(e), PayloadOf(e) + e.payload_len);
-    return record;
+  // Calls fn(index, results) for every edge out of owned vertex `v` whose
+  // label can follow `first` (results = the rule heads), in ascending index.
+  template <typename Fn>
+  void ForEachSecond(VertexId v, Label first, const Grammar& grammar, Fn&& fn) const {
+    Visit(
+        out_head_[SlotOf(v)],
+        [&](Label second) -> const std::vector<Label>& {
+          return grammar.BinaryResults(first, second);
+        },
+        &MemEdge::next_out, fn);
+  }
+  // Calls fn(index, results) for every edge into owned vertex `v` whose
+  // label can precede `second`, in ascending index.
+  template <typename Fn>
+  void ForEachFirst(VertexId v, Label second, const Grammar& grammar, Fn&& fn) const {
+    Visit(
+        in_head_[SlotOf(v)],
+        [&](Label first) -> const std::vector<Label>& {
+          return grammar.BinaryResults(first, second);
+        },
+        &MemEdge::next_in, fn);
   }
 
  private:
+  struct Bucket {
+    Label label;
+    uint32_t head;
+    uint32_t tail;
+    uint32_t next;  // the vertex's next bucket
+  };
+  struct Cursor {
+    uint32_t at;
+    const std::vector<Label>* results;
+  };
+
+  size_t SlotOf(VertexId v) const {
+    return v >= lo1_ && v < hi1_ ? v - lo1_ : (hi1_ - lo1_) + (v - lo2_);
+  }
+
+  void Link(uint32_t* vertex_head, Label label, uint32_t idx, uint32_t MemEdge::*next) {
+    for (uint32_t b = *vertex_head; b != kNil; b = buckets_[b].next) {
+      Bucket& bucket = buckets_[b];
+      if (bucket.label == label) {
+        edges_[bucket.tail].*next = idx;
+        bucket.tail = idx;
+        return;
+      }
+    }
+    buckets_.push_back({label, idx, idx, *vertex_head});
+    *vertex_head = static_cast<uint32_t>(buckets_.size() - 1);
+  }
+
+  // Merges the chains of the matching buckets in ascending edge index, so
+  // joins (and with them candidates) come out in the order a scan of the
+  // vertex's whole adjacency would produce.
+  template <typename Match, typename Fn>
+  void Visit(uint32_t bucket, Match&& match, uint32_t MemEdge::*next, Fn& fn) const {
+    constexpr size_t kInline = 8;
+    Cursor inline_cursors[kInline];
+    std::vector<Cursor> spilled;
+    size_t n = 0;
+    for (; bucket != kNil; bucket = buckets_[bucket].next) {
+      const std::vector<Label>& results = match(buckets_[bucket].label);
+      if (results.empty()) {
+        continue;
+      }
+      Cursor cursor{buckets_[bucket].head, &results};
+      if (n < kInline) {
+        inline_cursors[n] = cursor;
+      } else {
+        if (spilled.empty()) {
+          spilled.assign(inline_cursors, inline_cursors + kInline);
+        }
+        spilled.push_back(cursor);
+      }
+      ++n;
+    }
+    if (n == 0) {
+      return;
+    }
+    if (n == 1) {
+      for (uint32_t idx = inline_cursors[0].at; idx != kNil; idx = edges_[idx].*next) {
+        fn(idx, *inline_cursors[0].results);
+      }
+      return;
+    }
+    Cursor* cursors = n > kInline ? spilled.data() : inline_cursors;
+    for (;;) {
+      size_t best = 0;
+      for (size_t i = 1; i < n; ++i) {
+        if (cursors[i].at < cursors[best].at) {
+          best = i;
+        }
+      }
+      uint32_t idx = cursors[best].at;
+      if (idx == kNil) {
+        return;
+      }
+      fn(idx, *cursors[best].results);
+      cursors[best].at = edges_[idx].*next;
+    }
+  }
+
   VertexId lo1_, hi1_, lo2_, hi2_;
   std::vector<MemEdge> edges_;
-  std::vector<uint8_t> arena_;
-  std::unordered_map<VertexId, std::vector<uint32_t>> out_;
-  std::unordered_map<VertexId, std::vector<uint32_t>> in_;
-  std::vector<uint32_t> empty_;
+  uint64_t resident_bytes_ = 0;
+  std::vector<uint32_t> out_head_;  // per owned vertex: first bucket
+  std::vector<uint32_t> in_head_;
+  std::vector<Bucket> buckets_;
 };
 
 GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, EngineOptions options)
@@ -134,6 +237,9 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_ckpt_bytes_(metrics_.Counter("ckpt_bytes")),
       c_runs_resumed_(metrics_.Counter("runs_resumed_total")),
       c_phase_join_ns_(metrics_.Counter("phase_join_ns")),
+      c_index_build_ns_(metrics_.Counter("engine_index_build_ns")),
+      c_candidates_ns_(metrics_.Counter("engine_candidates_ns")),
+      c_integrate_ns_(metrics_.Counter("engine_integrate_ns")),
       owned_runtime_(options_.runtime != nullptr
                          ? nullptr
                          : std::make_unique<TaskRuntime>(
@@ -148,7 +254,8 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       store_(options_.work_dir, &metrics_,
              PartitionStorePipeline{options_.io_pipeline,
                                     options_.budget_lease, options_.memory_budget_bytes,
-                                    runtime_}) {
+                                    runtime_}),
+      true_payload_(oracle_->Intern(oracle_->TruePayload())) {
   obs::EventLogInstall();
   // Propose this engine's work dir as the crash-dump target; the Grapple
   // facade (when present) has already claimed the run work dir.
@@ -204,57 +311,217 @@ void GraphEngine::AddBaseEdge(VertexId src, VertexId dst, Label label, const Pat
   pending_base_.push_back(std::move(edge));
 }
 
-void GraphEngine::ExpandEdge(const EdgeRecord& edge, std::vector<EdgeRecord>* out,
-                             std::vector<int>* parent_of) const {
-  // Closure over unary productions and mirror labels; payload shared. Each
-  // queued record remembers which `out` slot its source record will occupy,
-  // so the closure forms a forest rooted at the input edge.
+void GraphEngine::BuildClosures() {
+  // Closure over unary productions and mirror labels, on a symbolic edge
+  // 0 -> 1 (or the self-loop 0 -> 0). A depth-first walk: each queued
+  // triple remembers which slot its source triple will occupy, so the
+  // closure forms a forest rooted at the edge. A triple is derived once.
   struct Item {
-    EdgeRecord record;
+    Triple triple;
     int parent;
   };
-  std::vector<Item> queue;
-  queue.push_back({edge, -1});
-  std::unordered_set<uint64_t> seen;
-  seen.insert(EdgeTripleHash(edge.src, edge.dst, edge.label));
-  while (!queue.empty()) {
-    Item item = std::move(queue.back());
-    queue.pop_back();
-    const EdgeRecord& cur = item.record;
-    int my_index = static_cast<int>(out->size());
-    for (Label result : grammar_->UnaryResults(cur.label)) {
-      uint64_t key = EdgeTripleHash(cur.src, cur.dst, result);
-      if (seen.insert(key).second) {
-        EdgeRecord derived = cur;
-        derived.label = result;
-        queue.push_back({std::move(derived), my_index});
+  closures_.assign(grammar_->NumLabels(), {});
+  for (size_t label = 0; label < grammar_->NumLabels(); ++label) {
+    for (int self_loop = 0; self_loop < 2; ++self_loop) {
+      const Triple edge{0, self_loop != 0 ? 0u : 1u, static_cast<Label>(label)};
+      std::vector<Triple> done;
+      std::vector<Item> queue{{edge, -1}};
+      auto seen = [&](const Triple& t) {
+        auto same = [&](const Triple& o) {
+          return o.src == t.src && o.dst == t.dst && o.label == t.label;
+        };
+        return std::any_of(done.begin(), done.end(), same) ||
+               std::any_of(queue.begin(), queue.end(),
+                           [&](const Item& item) { return same(item.triple); });
+      };
+      std::vector<ClosureStep>& steps = closures_[label][self_loop];
+      while (!queue.empty()) {
+        Item item = queue.back();
+        queue.pop_back();
+        const Triple cur = item.triple;
+        int my_index = static_cast<int>(done.size());
+        done.push_back(cur);
+        steps.push_back({cur.label, cur.src != edge.src, item.parent});
+        for (Label result : grammar_->UnaryResults(cur.label)) {
+          Triple derived{cur.src, cur.dst, result};
+          if (!seen(derived)) {
+            queue.push_back({derived, my_index});
+          }
+        }
+        Label mirror = grammar_->MirrorOf(cur.label);
+        if (mirror != kNoLabel) {
+          Triple derived{cur.dst, cur.src, mirror};
+          if (!seen(derived)) {
+            queue.push_back({derived, my_index});
+          }
+        }
       }
-    }
-    Label mirror = grammar_->MirrorOf(cur.label);
-    if (mirror != kNoLabel) {
-      uint64_t key = EdgeTripleHash(cur.dst, cur.src, mirror);
-      if (seen.insert(key).second) {
-        EdgeRecord derived;
-        derived.src = cur.dst;
-        derived.dst = cur.src;
-        derived.label = mirror;
-        derived.payload = cur.payload;
-        queue.push_back({std::move(derived), my_index});
-      }
-    }
-    out->push_back(std::move(item.record));
-    if (parent_of != nullptr) {
-      parent_of->push_back(item.parent);
     }
   }
 }
+
+namespace {
+
+// Open-addressing set of 64-bit edge content hashes. Zero, the free-slot
+// marker, is kept out of band.
+class HashSet64 {
+ public:
+  bool Contains(uint64_t key) const {
+    if (key == 0) {
+      return has_zero_;
+    }
+    size_t mask = slots_.size() - 1;
+    for (size_t i = SlotHash(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == key) {
+        return true;
+      }
+      if (slots_[i] == 0) {
+        return false;
+      }
+    }
+  }
+
+  // False when `key` was already present.
+  bool Insert(uint64_t key) {
+    if (key == 0) {
+      bool inserted = !has_zero_;
+      has_zero_ = true;
+      return inserted;
+    }
+    size_t mask = slots_.size() - 1;
+    size_t i = SlotHash(key) & mask;
+    for (; slots_[i] != 0; i = (i + 1) & mask) {
+      if (slots_[i] == key) {
+        return false;
+      }
+    }
+    slots_[i] = key;
+    if (++size_ * 4 > slots_.size() * 3) {
+      Rehash(slots_.size() * 2);
+    }
+    return true;
+  }
+
+  void Reserve(size_t n) {
+    size_t want = slots_.size();
+    while (n * 4 > want * 3) {
+      want *= 2;
+    }
+    if (want != slots_.size()) {
+      Rehash(want);
+    }
+  }
+
+  size_t size() const { return size_ + (has_zero_ ? 1 : 0); }
+
+  std::vector<uint64_t> Sorted() const {
+    std::vector<uint64_t> keys;
+    keys.reserve(size());
+    if (has_zero_) {
+      keys.push_back(0);
+    }
+    for (uint64_t key : slots_) {
+      if (key != 0) {
+        keys.push_back(key);
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+ private:
+  static size_t SlotHash(uint64_t key) {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 20);
+  }
+
+  void Rehash(size_t slots) {
+    std::vector<uint64_t> old(slots, 0);
+    old.swap(slots_);
+    size_t mask = slots_.size() - 1;
+    for (uint64_t key : old) {
+      if (key != 0) {
+        size_t i = SlotHash(key) & mask;
+        while (slots_[i] != 0) {
+          i = (i + 1) & mask;
+        }
+        slots_[i] = key;
+      }
+    }
+  }
+
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(64, 0);
+  size_t size_ = 0;
+  bool has_zero_ = false;
+};
+
+// Exact open-addressing set of (src, dst, label) triples.
+class TripleSet {
+ public:
+  bool Contains(VertexId src, VertexId dst, Label label) const {
+    size_t mask = slots_.size() - 1;
+    for (size_t i = SlotHash(src, dst, label) & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.label == kFree) {
+        return false;
+      }
+      if (slot.src == src && slot.dst == dst && slot.label == label) {
+        return true;
+      }
+    }
+  }
+
+  void Insert(VertexId src, VertexId dst, Label label) {
+    size_t mask = slots_.size() - 1;
+    size_t i = SlotHash(src, dst, label) & mask;
+    for (; slots_[i].label != kFree; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.src == src && slot.dst == dst && slot.label == label) {
+        return;
+      }
+    }
+    slots_[i] = {src, dst, label};
+    if (++size_ * 4 > slots_.size() * 3) {
+      std::vector<Slot> old(slots_.size() * 2);
+      old.swap(slots_);
+      size_ = 0;
+      for (const Slot& slot : old) {
+        if (slot.label != kFree) {
+          Insert(slot.src, slot.dst, static_cast<Label>(slot.label));
+        }
+      }
+    }
+  }
+
+ private:
+  static constexpr uint32_t kFree = UINT32_MAX;
+  struct Slot {
+    VertexId src = 0;
+    VertexId dst = 0;
+    uint32_t label = kFree;
+  };
+
+  static size_t SlotHash(VertexId src, VertexId dst, Label label) {
+    uint64_t key = ((uint64_t{src} << 32) | dst) ^ (uint64_t{label} << 48);
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 20);
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+  size_t size_ = 0;
+};
+
+}  // namespace
 
 // Global dedup and per-triple variant bookkeeping, kept out of the header.
 // Hash-based: a 64-bit collision silently drops an edge, with negligible
 // probability at the scales this engine targets.
 struct GraphEngineIndexHolder {
-  std::unordered_set<uint64_t> content;
+  HashSet64 content;
   std::unordered_map<uint64_t, uint32_t> variants;
+  // Triples at the variant cap whose widened edge is indexed: any further
+  // variant of them widens into that edge, so integrating one changes
+  // nothing. Derived from the two sets above (not checkpointed; a resumed
+  // run refills it as triples widen again).
+  TripleSet saturated;
 };
 
 GraphEngine::~GraphEngine() = default;
@@ -300,6 +567,7 @@ void GraphEngine::Finalize(VertexId num_vertices) {
   finalized_ = true;
   WallTimer timer;
   index_ = std::make_unique<GraphEngineIndexHolder>();
+  BuildClosures();
   if (options_.checkpoint_interval > 0) {
     // Fingerprint the input (base edges + vertex count) so a manifest left
     // behind by a run over *different* inputs is rejected, not resumed.
@@ -333,33 +601,38 @@ void GraphEngine::Finalize(VertexId num_vertices) {
   // Expand unary/mirror closures and dedup.
   std::vector<EdgeRecord> expanded;
   expanded.reserve(pending_base_.size() * 2);
-  for (const auto& edge : pending_base_) {
-    std::vector<EdgeRecord> closure;
-    std::vector<int> parents;
-    ExpandEdge(edge, &closure, provenance_ != nullptr ? &parents : nullptr);
-    std::vector<uint64_t> hashes(provenance_ != nullptr ? closure.size() : 0, 0);
+  std::vector<uint64_t> hashes;
+  for (auto& edge : pending_base_) {
+    const Triple base{edge.src, edge.dst, edge.label};
+    const std::vector<ClosureStep>& closure = ClosureOf(base);
+    hashes.assign(provenance_ != nullptr ? closure.size() : 0, 0);
     for (size_t k = 0; k < closure.size(); ++k) {
-      auto& derived = closure[k];
+      const Triple derived = StepTriple(base, closure[k]);
       uint64_t hash = EdgeContentHash(derived.src, derived.dst, derived.label,
-                                      derived.payload.data(), derived.payload.size());
+                                      edge.payload.data(), edge.payload.size());
       if (provenance_ != nullptr) {
         hashes[k] = hash;
       }
-      if (index_->content.insert(hash).second) {
+      if (index_->content.Insert(hash)) {
         ++index_->variants[EdgeTripleHash(derived.src, derived.dst, derived.label)];
+        obs::ProvEdge prov_edge = ProvEdgeOf(derived.src, derived.dst, derived.label);
         if (provenance_ != nullptr) {
-          if (parents[k] < 0) {
-            provenance_->RecordBase(hash, ProvEdgeOf(derived), derived.payload.data(),
-                                    derived.payload.size());
+          int parent_index = closure[k].parent;
+          if (parent_index < 0) {
+            provenance_->RecordBase(hash, prov_edge, edge.payload.data(), edge.payload.size());
           } else {
-            // closure[parents[k]] may have moved to `expanded` already; its
-            // scalar identity fields survive the move.
-            provenance_->RecordRewrite(hash, ProvEdgeOf(derived), derived.payload.data(),
-                                       derived.payload.size(), hashes[parents[k]],
-                                       ProvEdgeOf(closure[static_cast<size_t>(parents[k])]));
+            const Triple parent = StepTriple(base, closure[static_cast<size_t>(parent_index)]);
+            provenance_->RecordRewrite(hash, prov_edge, edge.payload.data(), edge.payload.size(),
+                                       hashes[static_cast<size_t>(parent_index)],
+                                       ProvEdgeOf(parent.src, parent.dst, parent.label));
           }
         }
-        expanded.push_back(std::move(derived));
+        EdgeRecord record;
+        record.src = derived.src;
+        record.dst = derived.dst;
+        record.label = derived.label;
+        record.payload = edge.payload;
+        expanded.push_back(std::move(record));
       }
     }
   }
@@ -427,8 +700,10 @@ bool GraphEngine::TryResume(VertexId num_vertices) {
     }
     provenance_->ResumeAt(manifest.provenance_bytes, manifest.provenance_records);
   }
-  index_->content.reserve(manifest.dedup_hashes.size());
-  index_->content.insert(manifest.dedup_hashes.begin(), manifest.dedup_hashes.end());
+  index_->content.Reserve(manifest.dedup_hashes.size());
+  for (uint64_t hash : manifest.dedup_hashes) {
+    index_->content.Insert(hash);
+  }
   index_->variants.reserve(manifest.variants.size());
   for (const auto& [triple, count] : manifest.variants) {
     index_->variants[triple] = count;
@@ -465,8 +740,7 @@ void GraphEngine::WriteCheckpoint() {
   for (const auto& [pair, versions] : pair_done_) {
     manifest.pair_done.push_back({pair.first, pair.second, versions.first, versions.second});
   }
-  manifest.dedup_hashes.assign(index_->content.begin(), index_->content.end());
-  std::sort(manifest.dedup_hashes.begin(), manifest.dedup_hashes.end());
+  manifest.dedup_hashes = index_->content.Sorted();
   manifest.variants.assign(index_->variants.begin(), index_->variants.end());
   std::sort(manifest.variants.begin(), manifest.variants.end());
   if (provenance_ != nullptr) {
@@ -618,9 +892,12 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     loaded.insert(loaded.end(), std::make_move_iterator(more.begin()),
                   std::make_move_iterator(more.end()));
   }
+  WallTimer index_timer;
   for (const auto& edge : loaded) {
-    pair.Insert(edge.src, edge.dst, edge.label, edge.payload.data(), edge.payload.size());
+    pair.Insert(edge.src, edge.dst, edge.label, oracle_->Intern(edge.payload),
+                edge.payload.size());
   }
+  metrics_.AddNanos(c_index_build_ns_, index_timer.ElapsedNanos());
   size_t total_loaded = loaded.size();
   loaded.clear();
   loaded.shrink_to_fit();
@@ -628,13 +905,6 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   obs::ProfPhase join_phase("join", &metrics_, c_phase_join_ns_);
   GraphEngineIndexHolder& index = *index_;
   const bool record_prov = provenance_ != nullptr;
-  auto prov_edge_of = [](const LoadedPair::MemEdge& e) {
-    obs::ProvEdge pe;
-    pe.src = e.src;
-    pe.dst = e.dst;
-    pe.label = e.label;
-    return pe;
-  };
 
   // Delta frontier: if this pair previously reached a local fixpoint at
   // versions (vi, vj), the old x old joins are already done — only edges
@@ -664,114 +934,106 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   bool changed_j = false;
   bool complete = true;
 
+  // Shard count is pinned to the configured join parallelism, not to the
+  // runtime's worker count: shards cover contiguous frontier ranges and
+  // are integrated in index order below, so the result is identical for
+  // any worker count and any steal order.
+  const size_t shards = join_shards_;
+  std::vector<std::vector<Candidate>> shard_candidates(shards);
+  std::vector<std::vector<CandidateProvenance>> shard_provenance(record_prov ? shards : 0);
+  std::vector<uint64_t> hashes;
+  // True when integrating `edge` with `payload` would change nothing: every
+  // record of its closure is indexed exactly, or belongs to a saturated
+  // triple. The index only grows, so a settled candidate stays settled.
+  // Read-only: safe in the shards of a round.
+  auto settled = [&](const Triple& edge, PayloadBytes payload) {
+    for (const ClosureStep& step : ClosureOf(edge)) {
+      Triple t = StepTriple(edge, step);
+      if (!index.saturated.Contains(t.src, t.dst, t.label) &&
+          !index.content.Contains(ContentHashOf(t.src, t.dst, t.label, payload))) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   while (!frontier.empty()) {
     metrics_.Add(c_join_rounds_);
     // --- parallel candidate generation ---
-    // Shard count is pinned to the configured join parallelism, not to the
-    // runtime's worker count: shards cover contiguous frontier ranges and
-    // are integrated in index order below, so the result is identical for
-    // any worker count and any steal order.
-    size_t shards = join_shards_;
-    std::vector<std::vector<Candidate>> shard_candidates(shards);
+    // The round is read-only on everything shared: the pair, the dedup
+    // index, and the oracle's payload table and memo. Memo misses are
+    // buffered per shard and committed at integration.
+    size_t frontier_size = frontier.size();
+    size_t shards_used = std::min(frontier_size, shards);
+    oracle_->BeginRound(shards_used);
     std::atomic<uint64_t> joins{0};
     std::atomic<uint64_t> unsat{0};
     auto join_shard = [&](size_t shard, size_t begin, size_t end) {
+      WallTimer shard_timer;
       auto& out = shard_candidates[shard];
+      out.clear();
+      std::vector<CandidateProvenance>* prov_out =
+          record_prov ? &shard_provenance[shard] : nullptr;
+      if (prov_out != nullptr) {
+        prov_out->clear();
+      }
       uint64_t local_joins = 0;
       uint64_t local_unsat = 0;
-      for (size_t f = begin; f < end; ++f) {
-        uint32_t idx = frontier[f];
-        const auto& e1 = pair.EdgeAt(idx);
-        // Forward: e1 as the first edge of the pair.
-        if (pair.Owns(e1.dst)) {
-          for (uint32_t idx2 : pair.OutOf(e1.dst)) {
-            const auto& e2 = pair.EdgeAt(idx2);
-            const auto& results = grammar_->BinaryResults(e1.label, e2.label);
-            if (results.empty()) {
-              continue;
-            }
-            ++local_joins;
-            auto payload = oracle_->MergeAndCheck(pair.PayloadOf(e1), e1.payload_len,
-                                                  pair.PayloadOf(e2), e2.payload_len);
-            if (!payload.has_value()) {
-              ++local_unsat;
-              continue;
-            }
-            uint64_t hash_a = 0;
-            uint64_t hash_b = 0;
-            if (record_prov) {
-              hash_a = EdgeContentHash(e1.src, e1.dst, e1.label, pair.PayloadOf(e1),
-                                       e1.payload_len);
-              hash_b = EdgeContentHash(e2.src, e2.dst, e2.label, pair.PayloadOf(e2),
-                                       e2.payload_len);
-            }
-            for (Label result : results) {
-              Candidate c;
-              c.src = e1.src;
-              c.dst = e2.dst;
-              c.label = result;
-              c.payload = *payload;
-              if (record_prov) {
-                c.parent_a = hash_a;
-                c.parent_b = hash_b;
-                c.a_edge = prov_edge_of(e1);
-                c.b_edge = prov_edge_of(e2);
-              }
-              out.push_back(std::move(c));
-            }
+      // Joins a -> b (consecutive edges) into candidates a.src -> b.dst.
+      auto join = [&](const LoadedPair::MemEdge& a, const LoadedPair::MemEdge& b,
+                      const std::vector<Label>& results) {
+        ++local_joins;
+        uint32_t token = oracle_->Merge(shard, a.payload, b.payload);
+        if (token == ConstraintOracle::kUnsat) {
+          ++local_unsat;
+          return;
+        }
+        PayloadBytes merged = oracle_->BytesOf(shard, token);
+        CandidateProvenance prov;
+        bool prov_ready = false;
+        for (Label result : results) {
+          if (settled({a.src, b.dst, result}, merged)) {
+            continue;
           }
+          out.push_back({a.src, b.dst, result, token});
+          if (prov_out != nullptr) {
+            if (!prov_ready) {
+              prov.parent_a = ContentHashOf(a.src, a.dst, a.label, oracle_->Bytes(a.payload));
+              prov.parent_b = ContentHashOf(b.src, b.dst, b.label, oracle_->Bytes(b.payload));
+              prov.a_edge = ProvEdgeOf(a.src, a.dst, a.label);
+              prov.b_edge = ProvEdgeOf(b.src, b.dst, b.label);
+              prov_ready = true;
+            }
+            prov_out->push_back(prov);
+          }
+        }
+      };
+      for (size_t f = begin; f < end; ++f) {
+        const auto& e1 = pair.EdgeAt(frontier[f]);
+        // Forward: e1 as the first edge of the pair.
+        if (pair.Owns(e1.dst) && grammar_->CanBeginBinary(e1.label)) {
+          pair.ForEachSecond(e1.dst, e1.label, *grammar_,
+                             [&](uint32_t idx2, const std::vector<Label>& results) {
+                               join(e1, pair.EdgeAt(idx2), results);
+                             });
         }
         // Backward: e1 as the second edge; skip first edges that are in the
         // frontier themselves (their forward pass covers the pair).
-        for (uint32_t idx0 : pair.InOf(e1.src)) {
-          if (in_frontier[idx0]) {
-            continue;
-          }
-          const auto& e0 = pair.EdgeAt(idx0);
-          const auto& results = grammar_->BinaryResults(e0.label, e1.label);
-          if (results.empty()) {
-            continue;
-          }
-          ++local_joins;
-          auto payload = oracle_->MergeAndCheck(pair.PayloadOf(e0), e0.payload_len,
-                                                pair.PayloadOf(e1), e1.payload_len);
-          if (!payload.has_value()) {
-            ++local_unsat;
-            continue;
-          }
-          uint64_t hash_a = 0;
-          uint64_t hash_b = 0;
-          if (record_prov) {
-            hash_a = EdgeContentHash(e0.src, e0.dst, e0.label, pair.PayloadOf(e0),
-                                     e0.payload_len);
-            hash_b = EdgeContentHash(e1.src, e1.dst, e1.label, pair.PayloadOf(e1),
-                                     e1.payload_len);
-          }
-          for (Label result : results) {
-            Candidate c;
-            c.src = e0.src;
-            c.dst = e1.dst;
-            c.label = result;
-            c.payload = *payload;
-            if (record_prov) {
-              c.parent_a = hash_a;
-              c.parent_b = hash_b;
-              c.a_edge = prov_edge_of(e0);
-              c.b_edge = prov_edge_of(e1);
-            }
-            out.push_back(std::move(c));
-          }
+        if (!grammar_->FirstsBefore(e1.label).empty()) {
+          pair.ForEachFirst(e1.src, e1.label, *grammar_,
+                            [&](uint32_t idx0, const std::vector<Label>& results) {
+                              if (!in_frontier[idx0]) {
+                                join(pair.EdgeAt(idx0), e1, results);
+                              }
+                            });
         }
       }
       joins.fetch_add(local_joins, std::memory_order_relaxed);
       unsat.fetch_add(local_unsat, std::memory_order_relaxed);
+      metrics_.AddNanos(c_candidates_ns_, shard_timer.ElapsedNanos());
     };
-    size_t frontier_size = frontier.size();
-    size_t shards_used = std::min(frontier_size, shards);
     if (shards_used <= 1) {
-      if (frontier_size > 0) {
-        join_shard(0, 0, frontier_size);
-      }
+      join_shard(0, 0, frontier_size);
     } else {
       // Explicit task objects on the unified runtime: one foreground task
       // per contiguous shard, tagged with this pair's locality key so
@@ -788,6 +1050,10 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
         size_t begin = shard * chunk;
         size_t end = std::min(frontier_size, begin + chunk);
         if (begin >= end) {
+          shard_candidates[shard].clear();
+          if (record_prov) {
+            shard_provenance[shard].clear();
+          }
           continue;
         }
         group.Submit(TaskLane::kForeground, pair_key + shard,
@@ -806,92 +1072,104 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     metrics_.Observe(h_join_round_joins_, joins.load());
 
     // --- sequential integration ---
+    WallTimer integrate_timer;
+    // Interns this round's new merge results, shard by shard.
+    oracle_->CommitRound();
     std::fill(in_frontier.begin(), in_frontier.end(), 0);
     std::vector<uint32_t> next_frontier;
     // `out_hash` (when recording) receives the content hash the record ended
     // up stored under — post-widening, and also on dedup (where it names the
     // already-recorded edge) — so closure rewrites can reference it.
-    auto integrate = [&](EdgeRecord&& record, uint64_t parent_a, const obs::ProvEdge& a_edge,
-                         uint64_t parent_b, const obs::ProvEdge& b_edge, bool is_rewrite,
-                         uint64_t* out_hash) {
-      uint64_t triple = EdgeTripleHash(record.src, record.dst, record.label);
-      uint64_t content = EdgeContentHash(record.src, record.dst, record.label,
-                                         record.payload.data(), record.payload.size());
+    auto integrate = [&](const Triple& edge, uint32_t payload,
+                         const CandidateProvenance* join_prov, uint64_t rewrite_parent,
+                         const obs::ProvEdge& rewrite_edge, uint64_t* out_hash) {
+      if (out_hash == nullptr && index.saturated.Contains(edge.src, edge.dst, edge.label)) {
+        return;
+      }
+      uint64_t triple = EdgeTripleHash(edge.src, edge.dst, edge.label);
+      PayloadBytes bytes = oracle_->Bytes(payload);
+      uint64_t content = ContentHashOf(edge.src, edge.dst, edge.label, bytes);
       if (out_hash != nullptr) {
         *out_hash = content;
       }
-      if (index.content.count(content) != 0) {
+      if (index.content.Contains(content)) {
         return;
       }
       bool widened = false;
       uint32_t& variant_count = index.variants[triple];
       if (variant_count >= options_.max_variants_per_triple) {
         // Widen: replace further variants by the always-true payload.
-        record.payload = oracle_->TruePayload();
-        content = EdgeContentHash(record.src, record.dst, record.label, record.payload.data(),
-                                  record.payload.size());
+        payload = true_payload_;
+        bytes = oracle_->Bytes(payload);
+        content = ContentHashOf(edge.src, edge.dst, edge.label, bytes);
         if (out_hash != nullptr) {
           *out_hash = content;
         }
-        if (index.content.count(content) != 0) {
+        index.saturated.Insert(edge.src, edge.dst, edge.label);
+        if (index.content.Contains(content)) {
           return;
         }
         widened = true;
         metrics_.Add(c_widened_triples_);
       }
-      index.content.insert(content);
+      index.content.Insert(content);
       ++variant_count;
       metrics_.Add(c_edges_added_);
       if (record_prov) {
-        if (is_rewrite) {
-          provenance_->RecordRewrite(content, ProvEdgeOf(record), record.payload.data(),
-                                     record.payload.size(), parent_a, a_edge);
+        obs::ProvEdge prov_edge = ProvEdgeOf(edge.src, edge.dst, edge.label);
+        if (join_prov == nullptr) {
+          provenance_->RecordRewrite(content, prov_edge, bytes.data, bytes.size, rewrite_parent,
+                                     rewrite_edge);
         } else {
-          provenance_->RecordJoin(content, ProvEdgeOf(record), record.payload.data(),
-                                  record.payload.size(), parent_a, a_edge, parent_b, b_edge,
-                                  widened);
+          provenance_->RecordJoin(content, prov_edge, bytes.data, bytes.size,
+                                  join_prov->parent_a, join_prov->a_edge, join_prov->parent_b,
+                                  join_prov->b_edge, widened);
         }
       }
-      if (pair.Owns(record.src)) {
-        uint32_t idx = pair.Insert(record.src, record.dst, record.label, record.payload.data(),
-                                   record.payload.size());
+      if (pair.Owns(edge.src)) {
+        uint32_t idx = pair.Insert(edge.src, edge.dst, edge.label, payload, bytes.size);
         next_frontier.push_back(idx);
         in_frontier.push_back(1);
-        VertexId src = record.src;
-        if (src >= store_.Info(pi).lo && src < store_.Info(pi).hi) {
+        if (edge.src >= store_.Info(pi).lo && edge.src < store_.Info(pi).hi) {
           changed_i = true;
         } else {
           changed_j = true;
         }
       } else {
+        EdgeRecord record;
+        record.src = edge.src;
+        record.dst = edge.dst;
+        record.label = edge.label;
+        record.payload.assign(bytes.data, bytes.data + bytes.size);
         external.push_back(std::move(record));
       }
     };
     const obs::ProvEdge no_edge;
-    for (auto& shard : shard_candidates) {
-      for (auto& candidate : shard) {
-        EdgeRecord record;
-        record.src = candidate.src;
-        record.dst = candidate.dst;
-        record.label = candidate.label;
-        record.payload = std::move(candidate.payload);
-        std::vector<EdgeRecord> closure;
-        std::vector<int> parents;
-        ExpandEdge(record, &closure, record_prov ? &parents : nullptr);
-        std::vector<uint64_t> hashes(record_prov ? closure.size() : 0, 0);
+    for (size_t shard = 0; shard < shards_used; ++shard) {
+      const std::vector<Candidate>& candidates = shard_candidates[shard];
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        const Candidate& candidate = candidates[c];
+        uint32_t payload = oracle_->Resolve(shard, candidate.payload);
+        const Triple edge{candidate.src, candidate.dst, candidate.label};
+        // Settled by what this round integrated before it.
+        if (settled(edge, oracle_->Bytes(payload))) {
+          continue;
+        }
+        const std::vector<ClosureStep>& closure = ClosureOf(edge);
+        hashes.assign(record_prov ? closure.size() : 0, 0);
         for (size_t k = 0; k < closure.size(); ++k) {
+          const Triple derived = StepTriple(edge, closure[k]);
+          int parent_index = closure[k].parent;
           if (!record_prov) {
-            integrate(std::move(closure[k]), 0, no_edge, 0, no_edge, false, nullptr);
-          } else if (parents[k] < 0) {
+            integrate(derived, payload, nullptr, 0, no_edge, nullptr);
+          } else if (parent_index < 0) {
             // The join result itself.
-            integrate(std::move(closure[k]), candidate.parent_a, candidate.a_edge,
-                      candidate.parent_b, candidate.b_edge, false, &hashes[k]);
+            integrate(derived, payload, &shard_provenance[shard][c], 0, no_edge, &hashes[k]);
           } else {
-            // Unary/mirror rewrite of an earlier closure record (whose
-            // scalar identity fields survive its move).
-            size_t p = static_cast<size_t>(parents[k]);
-            integrate(std::move(closure[k]), hashes[p], ProvEdgeOf(closure[p]), 0, no_edge,
-                      true, &hashes[k]);
+            // Unary/mirror rewrite of an earlier closure record.
+            const Triple parent = StepTriple(edge, closure[static_cast<size_t>(parent_index)]);
+            integrate(derived, payload, nullptr, hashes[static_cast<size_t>(parent_index)],
+                      ProvEdgeOf(parent.src, parent.dst, parent.label), &hashes[k]);
           }
         }
       }
@@ -900,13 +1178,16 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     for (uint32_t idx : frontier) {
       in_frontier[idx] = 1;
     }
-    // Eager memory guard: when the resident pair has outgrown the budget,
-    // first try to borrow headroom from the shared arbiter (released by
-    // engines that already finished); only if that fails stop the local
-    // fixpoint early, write back (splitting), and reschedule.
-    metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.arena_bytes()));
-    if (pair.arena_bytes() > BudgetBytes()) {
-      uint64_t want = pair.arena_bytes() + pair.arena_bytes() / 2;
+    metrics_.AddNanos(c_integrate_ns_, integrate_timer.ElapsedNanos());
+    // Eager memory guard: when the resident pair has outgrown the budget
+    // with joins still pending, first try to borrow headroom from the
+    // shared arbiter (released by engines that already finished); only if
+    // that fails stop the local fixpoint early, write back (splitting), and
+    // reschedule. An empty frontier is the local fixpoint, whatever the
+    // resident size: marking it incomplete would re-pick this pair forever.
+    metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.resident_bytes()));
+    if (!frontier.empty() && pair.resident_bytes() > BudgetBytes()) {
+      uint64_t want = pair.resident_bytes() + pair.resident_bytes() / 2;
       if (options_.budget_lease != nullptr && options_.budget_lease->TryGrowTo(want)) {
         metrics_.Add(c_budget_borrows_);
         metrics_.SetGauge("engine_budget_bytes", static_cast<double>(BudgetBytes()));
@@ -929,8 +1210,14 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     for (size_t e = 0; e < pair.NumEdges(); ++e) {
       const auto& mem = pair.EdgeAt(e);
       if (mem.src >= lo && mem.src < hi) {
-        edges.push_back(pair.ToRecord(mem));
-        bytes += 16 + mem.payload_len;
+        PayloadBytes payload = oracle_->Bytes(mem.payload);
+        EdgeRecord record;
+        record.src = mem.src;
+        record.dst = mem.dst;
+        record.label = mem.label;
+        record.payload.assign(payload.data, payload.data + payload.size);
+        edges.push_back(std::move(record));
+        bytes += 16 + payload.size;
       }
     }
     if (bytes > target * 2 && hi - lo > 1) {

@@ -11,6 +11,7 @@
 #ifndef GRAPPLE_SRC_GRAPH_ENGINE_H_
 #define GRAPPLE_SRC_GRAPH_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -158,7 +159,10 @@ struct GraphEngineIndexHolder;
 
 class GraphEngine : public EdgeSink {
  public:
-  // `grammar` and `oracle` must outlive the engine.
+  // `grammar` and `oracle` must outlive the engine, and the grammar must be
+  // complete (every label and rule added) by Finalize(). The engine names
+  // payloads by ids in the oracle's payload table, so an oracle serves one
+  // engine.
   GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, EngineOptions options);
   ~GraphEngine();
 
@@ -203,13 +207,32 @@ class GraphEngine : public EdgeSink {
   // Current soft memory cap: the lease size when scheduled under a budget
   // arbiter, the static option otherwise.
   uint64_t BudgetBytes() const;
-  // Applies unary-production and mirror closure to an edge, collecting all
-  // records (including the original, at index 0) into `out`. When
-  // `parent_of` is non-null it receives, per record, the index into `out`
-  // of the record it was rewritten from (-1 for the input edge) so the
-  // caller can emit rewrite provenance.
-  void ExpandEdge(const EdgeRecord& edge, std::vector<EdgeRecord>* out,
-                  std::vector<int>* parent_of) const;
+  // An edge's identity without its payload.
+  struct Triple {
+    VertexId src;
+    VertexId dst;
+    Label label;
+  };
+  // One record of an edge's unary-production and mirror closure: its label,
+  // whether it runs dst -> src of the closed edge, and the index of the
+  // record it was rewritten from (-1 for the edge itself, at index 0). Every
+  // record carries the edge's payload.
+  struct ClosureStep {
+    Label label;
+    bool reversed;
+    int parent;
+  };
+  // The closure of an edge depends only on its label and on whether it is
+  // a self-loop, so it is computed once per (label, self-loop) in
+  // Finalize().
+  void BuildClosures();
+  const std::vector<ClosureStep>& ClosureOf(const Triple& edge) const {
+    return closures_[edge.label][edge.src == edge.dst ? 1 : 0];
+  }
+  static Triple StepTriple(const Triple& edge, const ClosureStep& step) {
+    return step.reversed ? Triple{edge.dst, edge.src, step.label}
+                         : Triple{edge.src, edge.dst, step.label};
+  }
   // Attempts to restore scheduler/dedup/store/provenance state from the
   // work dir's checkpoint manifest. False (with the engine still pristine)
   // when no manifest exists, it fails validation, or it was produced by a
@@ -242,6 +265,11 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_ckpt_bytes_;
   obs::MetricId c_runs_resumed_;
   obs::MetricId c_phase_join_ns_;
+  // Join stages: LoadedPair build, candidate generation (summed over
+  // shards), integration.
+  obs::MetricId c_index_build_ns_;
+  obs::MetricId c_candidates_ns_;
+  obs::MetricId c_integrate_ns_;
   // Registered only when checkpointing is on.
   obs::MetricId c_phase_ckpt_ns_ = obs::kInvalidMetric;
   // Scheduling. `owned_runtime_` is only set when the caller injected none;
@@ -256,6 +284,10 @@ class GraphEngine : public EdgeSink {
   EngineStats stats_;
 
   std::vector<EdgeRecord> pending_base_;
+  // Id of the always-true payload (widening) in the oracle's payload table.
+  uint32_t true_payload_;
+  // Per label: the closure of a plain edge [0] and of a self-loop [1].
+  std::vector<std::array<std::vector<ClosureStep>, 2>> closures_;
   std::unique_ptr<GraphEngineIndexHolder> index_;
   bool finalized_ = false;
 

@@ -1,5 +1,6 @@
 #include "src/graph/merge_memo.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/support/logging.h"
@@ -32,19 +33,19 @@ uint32_t HashBytes(const uint8_t* data, size_t len) {
 
 }  // namespace
 
-uint32_t MergeMemo::Intern(const uint8_t* data, size_t len) {
+uint32_t PayloadTable::Intern(const uint8_t* data, size_t len) {
   uint32_t hash = HashBytes(data, len);
-  size_t mask = ids_.size() - 1;
+  size_t mask = slots_.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    IdSlot& slot = ids_[i];
-    if (slot.id == kNone) {
+    Slot& slot = slots_[i];
+    if (slot.id == kFree) {
       uint32_t id = static_cast<uint32_t>(num_payloads());
-      GRAPPLE_CHECK_LT(num_payloads(), size_t{kNone});
+      GRAPPLE_CHECK_LT(num_payloads(), size_t{kMaxPayloads});
       bytes_.insert(bytes_.end(), data, data + len);
       offsets_.push_back(bytes_.size());
       slot = {id, hash};
-      if (num_payloads() * 4 > ids_.size() * 3) {
-        GrowIds();
+      if (num_payloads() * 4 > slots_.size() * 3) {
+        Grow();
       }
       return id;
     }
@@ -56,65 +57,60 @@ uint32_t MergeMemo::Intern(const uint8_t* data, size_t len) {
   }
 }
 
-MergeMemo::Key MergeMemo::KeyOf(const uint8_t* a, size_t a_len, const uint8_t* b,
-                                size_t b_len) {
-  return {Intern(a, a_len), Intern(b, b_len)};  // braced: evaluated left to right
+void PayloadTable::Grow() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.id != kFree) {
+      size_t i = slot.hash & mask;
+      while (slots_[i].id != kFree) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = slot;
+    }
+  }
 }
 
-size_t MergeMemo::PairSlotOf(Key key) const {
+size_t MergeMemo::SlotOf(Key key) const {
   size_t mask = pairs_.size() - 1;
   for (size_t i = Mix((uint64_t{key.a} << 32) | key.b) & mask;; i = (i + 1) & mask) {
-    const PairSlot& slot = pairs_[i];
+    const Slot& slot = pairs_[i];
     if (slot.a == kNone || (slot.a == key.a && slot.b == key.b)) {
       return i;
     }
   }
 }
 
-bool MergeMemo::Find(Key key, Result* out) const {
-  const PairSlot& slot = pairs_[PairSlotOf(key)];
-  if (slot.a == kNone) {
-    return false;
-  }
-  if (slot.c == kNone) {
-    out->reset();
-  } else {
-    out->emplace(bytes_.begin() + offsets_[slot.c], bytes_.begin() + offsets_[slot.c + 1]);
-  }
-  return true;
-}
-
-void MergeMemo::Insert(Key key, const Result& result) {
-  uint32_t c = result.has_value() ? Intern(result->data(), result->size()) : kNone;
-  PairSlot& slot = pairs_[PairSlotOf(key)];
+void MergeMemo::Insert(Key key, uint32_t value) {
+  Slot& slot = pairs_[SlotOf(key)];
   GRAPPLE_CHECK_EQ(slot.a, kNone);
-  slot = {key.a, key.b, c};
+  slot = {key.a, key.b, value};
   if (++num_pairs_ * 4 > pairs_.size() * 3) {
-    GrowPairs();
+    Grow();
   }
 }
 
-void MergeMemo::GrowIds() {
-  std::vector<IdSlot> old(ids_.size() * 2);
-  old.swap(ids_);
-  size_t mask = ids_.size() - 1;
-  for (const IdSlot& slot : old) {
-    if (slot.id != kNone) {
-      size_t i = slot.hash & mask;
-      while (ids_[i].id != kNone) {
-        i = (i + 1) & mask;
-      }
-      ids_[i] = slot;
-    }
+void MergeMemo::Clear() {
+  if (num_pairs_ == 0) {
+    return;
   }
+  // A table that grew large is dropped rather than wiped, so one big round
+  // does not make every later Clear() pay for its capacity.
+  if (pairs_.size() > 4096) {
+    std::vector<Slot>(64).swap(pairs_);
+  } else {
+    std::fill(pairs_.begin(), pairs_.end(), Slot());
+  }
+  num_pairs_ = 0;
 }
 
-void MergeMemo::GrowPairs() {
-  std::vector<PairSlot> old(pairs_.size() * 2);
+void MergeMemo::Grow() {
+  std::vector<Slot> old(pairs_.size() * 2);
   old.swap(pairs_);
-  for (const PairSlot& slot : old) {
+  for (const Slot& slot : old) {
     if (slot.a != kNone) {
-      pairs_[PairSlotOf({slot.a, slot.b})] = slot;
+      pairs_[SlotOf({slot.a, slot.b})] = slot;
     }
   }
 }

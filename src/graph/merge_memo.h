@@ -1,66 +1,95 @@
-// The exact merge memo behind both constraint oracles (§4.3, Table 4).
+// The payload id space and the exact merge memo behind both constraint
+// oracles (§4.3, Table 4).
 //
-// Each payload byte string the memo sees is interned to a dense uint32 id
+// PayloadTable interns each payload byte string to a dense uint32 id
 // (hash-consing: equal bytes, equal id). Bytes are compared on every probe,
-// so a hash collision can never merge two payloads. A flat open-addressing
-// map then takes the pair (id_a, id_b) to the merge's outcome: unsat, or the
-// id of the merged payload. Nothing is evicted while the memo lives, so each
-// distinct pair is merged and solved exactly once. Ids are private to the
-// memo: they are never persisted or reported, and their numbering may
-// depend on the order in which concurrent shards reach the oracle.
+// so a hash collision can never merge two payloads. Each engine has one
+// table, owned by its oracle: loaded edges, join candidates and memo entries
+// all name payloads by these ids. Ids are never persisted or reported.
 //
-// Not thread-safe: the owning oracle serializes access under its mutex.
+// MergeMemo is a flat open-addressing map from a pair (id_a, id_b) to a
+// uint32 value: for the oracle's memo, the id of the merged payload or
+// kNone when the merge is unsat; for a join shard's miss buffer, the index
+// of the buffered miss. Nothing is evicted, so each distinct pair is merged
+// and solved exactly once per memo.
+//
+// Neither class locks. Concurrent readers are safe while nobody writes; the
+// engine only interns and inserts between join rounds.
 #ifndef GRAPPLE_SRC_GRAPH_MERGE_MEMO_H_
 #define GRAPPLE_SRC_GRAPH_MERGE_MEMO_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace grapple {
 
+// A read-only view of one payload's bytes.
+struct PayloadBytes {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
+class PayloadTable {
+ public:
+  // Largest id + 1: ids stay below 2^31 so callers can tag them.
+  static constexpr uint32_t kMaxPayloads = uint32_t{1} << 31;
+
+  uint32_t Intern(const uint8_t* data, size_t len);
+  PayloadBytes Bytes(uint32_t id) const {
+    return {bytes_.data() + offsets_[id], offsets_[id + 1] - offsets_[id]};
+  }
+  size_t num_payloads() const { return offsets_.size() - 1; }
+
+ private:
+  static constexpr uint32_t kFree = UINT32_MAX;
+  struct Slot {
+    uint32_t id = kFree;
+    uint32_t hash = 0;
+  };
+
+  void Grow();
+
+  std::vector<uint8_t> bytes_;      // interned payloads, back to back
+  std::vector<size_t> offsets_{0};  // id's bytes: [offsets_[id], offsets_[id + 1])
+  std::vector<Slot> slots_ = std::vector<Slot>(64);
+};
+
 class MergeMemo {
  public:
-  // A merge's outcome: the merged payload, or nullopt when unsat.
-  using Result = std::optional<std::vector<uint8_t>>;
+  static constexpr uint32_t kNone = UINT32_MAX;  // free slot; unsat outcome
   struct Key {
     uint32_t a = 0;
     uint32_t b = 0;
   };
 
-  // Interns both payloads and returns the key of their (ordered) pair.
-  Key KeyOf(const uint8_t* a, size_t a_len, const uint8_t* b, size_t b_len);
-  // True when `key` is memoized; its outcome is then stored in *out.
-  bool Find(Key key, Result* out) const;
-  // Memoizes `key`'s outcome; `key` must not be memoized yet.
-  void Insert(Key key, const Result& result);
+  // True when `key` is present; its value is then stored in *value.
+  bool Find(Key key, uint32_t* value) const {
+    const Slot& slot = pairs_[SlotOf(key)];
+    if (slot.a == kNone) {
+      return false;
+    }
+    *value = slot.value;
+    return true;
+  }
+  // Stores `key` -> `value`; `key` must not be present yet.
+  void Insert(Key key, uint32_t value);
+  // Forgets every pair.
+  void Clear();
 
-  size_t num_payloads() const { return offsets_.size() - 1; }
   size_t num_pairs() const { return num_pairs_; }
 
  private:
-  static constexpr uint32_t kNone = UINT32_MAX;  // free slot; unsat outcome
-
-  struct IdSlot {
-    uint32_t id = kNone;
-    uint32_t hash = 0;
-  };
-  struct PairSlot {
+  struct Slot {
     uint32_t a = kNone;
     uint32_t b = 0;
-    uint32_t c = 0;  // merged payload id, or kNone when unsat
+    uint32_t value = 0;
   };
 
-  uint32_t Intern(const uint8_t* data, size_t len);
-  size_t PairSlotOf(Key key) const;
-  void GrowIds();
-  void GrowPairs();
+  size_t SlotOf(Key key) const;
+  void Grow();
 
-  std::vector<uint8_t> bytes_;      // interned payloads, back to back
-  std::vector<size_t> offsets_{0};  // id's bytes: [offsets_[id], offsets_[id + 1])
-  std::vector<IdSlot> ids_ = std::vector<IdSlot>(64);
-  std::vector<PairSlot> pairs_ = std::vector<PairSlot>(64);
+  std::vector<Slot> pairs_ = std::vector<Slot>(64);
   size_t num_pairs_ = 0;
 };
 

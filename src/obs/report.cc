@@ -98,6 +98,12 @@ std::string RenderEngineSummary(const MetricsSnapshot& s) {
     out << " [TIMED OUT]";
   }
   out << "\n";
+  std::snprintf(buffer, sizeof(buffer),
+                "join stages: index build %.3fs, candidates %.3fs (summed over shards), "
+                "integrate %.3fs\n",
+                s.SecondsOf("engine_index_build_ns"), s.SecondsOf("engine_candidates_ns"),
+                s.SecondsOf("engine_integrate_ns"));
+  out << buffer;
   return out.str();
 }
 

@@ -106,10 +106,11 @@ TEST(ExplicitOracleTest, PayloadsGrowWithPathLength) {
   ExplicitOracle oracle(&icfet);
   // Base payload for an interval with one branch condition.
   auto p1 = oracle.BasePayload(PathEncoding::Interval(*program.FindMethod("main"), 0, 2));
-  auto merged = oracle.MergeAndCheck(p1.data(), p1.size(), p1.data(), p1.size());
-  ASSERT_TRUE(merged.has_value());
+  uint32_t id = oracle.Intern(p1);
+  uint32_t merged = oracle.MergeAndCheck(id, id);
+  ASSERT_NE(merged, ConstraintOracle::kUnsat);
   // Explicit representation: concatenation grows (no interval fusion).
-  EXPECT_GT(merged->size(), p1.size());
+  EXPECT_GT(oracle.Bytes(merged).size, p1.size());
 }
 
 TEST(TraditionalBaselineTest, SucceedsOnTinyProgramWithBigBudget) {

@@ -49,6 +49,54 @@ TEST(GrammarTest, MirrorsAreSymmetric) {
   EXPECT_EQ(grammar.MirrorOf(grammar.Intern("plain")), kNoLabel);
 }
 
+// The sparse partner lists hold exactly the label pairs that some binary
+// rule accepts: a brute-force scan of BinaryResults over every pair of
+// labels, for the points-to grammar and every builtin typestate grammar.
+void ExpectPartnersMatchBruteForce(const Grammar& grammar) {
+  size_t n = grammar.NumLabels();
+  for (size_t first = 0; first < n; ++first) {
+    std::vector<Label> after;
+    for (size_t second = 0; second < n; ++second) {
+      if (!grammar.BinaryResults(static_cast<Label>(first), static_cast<Label>(second)).empty()) {
+        after.push_back(static_cast<Label>(second));
+      }
+    }
+    EXPECT_EQ(grammar.SecondsAfter(static_cast<Label>(first)), after) << grammar.NameOf(first);
+    EXPECT_EQ(grammar.CanBeginBinary(static_cast<Label>(first)), !after.empty());
+  }
+  for (size_t second = 0; second < n; ++second) {
+    std::vector<Label> before;
+    for (size_t first = 0; first < n; ++first) {
+      if (!grammar.BinaryResults(static_cast<Label>(first), static_cast<Label>(second)).empty()) {
+        before.push_back(static_cast<Label>(first));
+      }
+    }
+    EXPECT_EQ(grammar.FirstsBefore(static_cast<Label>(second)), before) << grammar.NameOf(second);
+  }
+}
+
+TEST(GrammarTest, PartnerListsMatchBruteForceScan) {
+  Grammar pointsto;
+  BuildPointsToGrammar(&pointsto, {"f", "g", "next", "val"});
+  ExpectPartnersMatchBruteForce(pointsto);
+  for (const FsmSpec& spec : AllBuiltinCheckers()) {
+    Grammar typestate;
+    BuildTypestateGrammar(&typestate, CompleteFsm(spec.fsm));
+    ExpectPartnersMatchBruteForce(typestate);
+  }
+  // Rules added out of label order, and two heads for one body.
+  Grammar grammar;
+  Label a = grammar.Intern("a");
+  Label b = grammar.Intern("b");
+  Label c = grammar.Intern("c");
+  grammar.AddBinary(a, c, b);
+  grammar.AddBinary(a, b, c);
+  grammar.AddBinary(a, c, a);
+  EXPECT_EQ(grammar.BinaryResults(a, c), (std::vector<Label>{b, a}));
+  EXPECT_EQ(grammar.SecondsAfter(a), (std::vector<Label>{b, c}));
+  ExpectPartnersMatchBruteForce(grammar);
+}
+
 // A tiny in-memory closure to check the points-to grammar derivations
 // independently of the disk engine.
 struct TinyEdge {

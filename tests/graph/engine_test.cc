@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "src/baseline/explicit_oracle.h"
 #include "src/cfg/call_graph.h"
@@ -86,6 +87,49 @@ TEST_F(EngineTest, TransitiveClosureChain) {
                                                       {0, 2}, {1, 3}, {0, 3}};
   EXPECT_EQ(paths, expected);
   EXPECT_EQ(engine.stats().base_edges, 3u + 3u);  // edge + derived path labels
+}
+
+TEST_F(EngineTest, JoinStageCountersAreRecorded) {
+  TempDir dir("engine-stages");
+  IntervalOracle oracle(&icfet_);
+  EngineOptions options;
+  options.work_dir = dir.path();
+  GraphEngine engine(&grammar_, &oracle, options);
+  PathEncoding trivial = PathEncoding::Empty();
+  RunAndCollectPaths(&engine, {{0, 1, trivial}, {1, 2, trivial}, {2, 3, trivial}}, 4);
+  ASSERT_GT(engine.stats().joins_attempted, 0u);
+  const obs::MetricsSnapshot& m = engine.stats().metrics;
+  EXPECT_GT(m.CounterOr("engine_index_build_ns"), 0u);
+  EXPECT_GT(m.CounterOr("engine_candidates_ns"), 0u);
+  EXPECT_GT(m.CounterOr("engine_integrate_ns"), 0u);
+}
+
+// A pair whose loaded edges alone exceed the memory budget still reaches
+// its local fixpoint: an empty frontier is complete whatever the resident
+// size. (It used to be marked incomplete, so Run() re-picked the pair
+// forever; max_seconds turns such a livelock into a timeout here.)
+TEST_F(EngineTest, OverBudgetPairReachesItsFixpoint) {
+  constexpr VertexId kChain = 24;
+  std::vector<std::tuple<VertexId, VertexId, PathEncoding>> edges;
+  for (VertexId v = 0; v + 1 < kChain; ++v) {
+    edges.emplace_back(v, v + 1, PathEncoding::Empty());
+  }
+  std::set<std::pair<VertexId, VertexId>> expected;
+  for (VertexId a = 0; a < kChain; ++a) {
+    for (VertexId b = a + 1; b < kChain; ++b) {
+      expected.insert({a, b});
+    }
+  }
+  TempDir dir("engine-over-budget");
+  IntervalOracle oracle(&icfet_);
+  EngineOptions options;
+  options.work_dir = dir.path();
+  options.memory_budget_bytes = 16;  // vertex 0's paths alone outgrow it
+  options.max_seconds = 10;
+  GraphEngine engine(&grammar_, &oracle, options);
+  EXPECT_EQ(RunAndCollectPaths(&engine, edges, kChain), expected);
+  EXPECT_FALSE(engine.stats().timed_out);
+  EXPECT_GT(engine.stats().metrics.GaugeOr("engine_peak_resident_bytes"), 16.0);
 }
 
 TEST_F(EngineTest, UnsatisfiableCompositionIsPruned) {
@@ -269,6 +313,11 @@ std::vector<std::vector<uint8_t>> RandomPayloads(ConstraintOracle* oracle, uint6
   return payloads;
 }
 
+std::vector<uint8_t> BytesOf(const ConstraintOracle& oracle, uint32_t id) {
+  PayloadBytes bytes = oracle.Bytes(id);
+  return std::vector<uint8_t>(bytes.data, bytes.data + bytes.size);
+}
+
 // The memo is exact: with it on and off, every merge over every pair of a
 // randomized payload set (each pair twice, in shuffled order) yields the
 // same bytes and verdict, and the memoized oracle solves each distinct
@@ -282,6 +331,12 @@ void ExpectMemoIsExact(const Icfet* icfet) {
   Oracle memo(icfet, memo_options);
   Oracle plain(icfet, plain_options);
   std::vector<std::vector<uint8_t>> payloads = RandomPayloads(&memo, 16);
+  std::vector<uint32_t> memo_ids;
+  std::vector<uint32_t> plain_ids;
+  for (const auto& payload : payloads) {
+    memo_ids.push_back(memo.Intern(payload));
+    plain_ids.push_back(plain.Intern(payload));
+  }
   std::vector<std::pair<size_t, size_t>> order;
   for (size_t i = 0; i < payloads.size(); ++i) {
     for (size_t j = 0; j < payloads.size(); ++j) {
@@ -296,13 +351,15 @@ void ExpectMemoIsExact(const Icfet* icfet) {
   std::set<std::pair<std::vector<uint8_t>, std::vector<uint8_t>>> distinct;
   size_t unsat = 0;
   for (const auto& [i, j] : order) {
-    const auto& a = payloads[i];
-    const auto& b = payloads[j];
-    auto with_memo = memo.MergeAndCheck(a.data(), a.size(), b.data(), b.size());
-    auto without = plain.MergeAndCheck(a.data(), a.size(), b.data(), b.size());
-    ASSERT_EQ(with_memo, without) << "pair " << i << "," << j;
-    distinct.insert({a, b});
-    unsat += with_memo.has_value() ? 0 : 1;
+    uint32_t with_memo = memo.MergeAndCheck(memo_ids[i], memo_ids[j]);
+    uint32_t without = plain.MergeAndCheck(plain_ids[i], plain_ids[j]);
+    ASSERT_EQ(with_memo == ConstraintOracle::kUnsat, without == ConstraintOracle::kUnsat)
+        << "pair " << i << "," << j;
+    if (with_memo != ConstraintOracle::kUnsat) {
+      ASSERT_EQ(BytesOf(memo, with_memo), BytesOf(plain, without)) << "pair " << i << "," << j;
+    }
+    distinct.insert({payloads[i], payloads[j]});
+    unsat += with_memo == ConstraintOracle::kUnsat ? 1 : 0;
   }
   EXPECT_GT(unsat, 0u);
   EXPECT_LT(unsat, order.size());
@@ -318,6 +375,69 @@ void ExpectMemoIsExact(const Icfet* icfet) {
 TEST_F(EngineTest, IntervalOracleMemoIsExact) { ExpectMemoIsExact<IntervalOracle>(&icfet_); }
 
 TEST_F(EngineTest, ExplicitOracleMemoIsExact) { ExpectMemoIsExact<ExplicitOracle>(&icfet_); }
+
+// Join rounds: four shards probe concurrently, each sweeping every pair of
+// the payload set (so every pair misses in every shard in the first round).
+// The commit counts each distinct pair once, the shards' results agree with
+// a sequential oracle byte for byte, and the second round is all hits.
+TEST_F(EngineTest, ShardedRoundsSolveEachDistinctPairOnce) {
+  IntervalOracle sharded(&icfet_);
+  IntervalOracle sequential(&icfet_);
+  std::vector<std::vector<uint8_t>> payloads = RandomPayloads(&sharded, 23);
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> seq_ids;
+  for (const auto& payload : payloads) {
+    ids.push_back(sharded.Intern(payload));
+    seq_ids.push_back(sequential.Intern(payload));
+  }
+  const size_t n = payloads.size();
+  constexpr size_t kShards = 4;
+  std::set<std::pair<uint32_t, uint32_t>> distinct;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      distinct.insert({ids[i], ids[j]});
+    }
+  }
+  for (int round = 0; round < 2; ++round) {
+    sharded.BeginRound(kShards);
+    std::vector<std::vector<uint32_t>> tokens(kShards);
+    std::vector<std::thread> threads;
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      threads.emplace_back([&, shard] {
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            tokens[shard].push_back(sharded.Merge(shard, ids[i], ids[j]));
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    sharded.CommitRound();
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      size_t k = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j, ++k) {
+          uint32_t token = tokens[shard][k];
+          uint32_t expected = sequential.MergeAndCheck(seq_ids[i], seq_ids[j]);
+          ASSERT_EQ(token == ConstraintOracle::kUnsat, expected == ConstraintOracle::kUnsat);
+          if (token != ConstraintOracle::kUnsat) {
+            ASSERT_EQ(BytesOf(sharded, sharded.Resolve(shard, token)),
+                      BytesOf(sequential, expected));
+          }
+        }
+      }
+    }
+    obs::MetricsSnapshot m = sharded.Metrics();
+    uint64_t merges = (round + 1) * kShards * n * n;
+    EXPECT_EQ(m.CounterOr("oracle_merges_total"), merges);
+    EXPECT_EQ(m.CounterOr("oracle_constraints_checked_total"), distinct.size());
+    EXPECT_EQ(m.CounterOr("oracle_cache_hits_total"), merges - distinct.size());
+    EXPECT_EQ(m.CounterOr("oracle_unsat_total"),
+              sequential.Metrics().CounterOr("oracle_unsat_total"));
+  }
+}
 
 TEST_F(EngineTest, MirrorEdgesMaterialized) {
   Grammar grammar;

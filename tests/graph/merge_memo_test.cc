@@ -12,40 +12,50 @@ namespace {
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> bytes) { return bytes; }
 
 TEST(MergeMemoTest, InternsByContent) {
-  MergeMemo memo;
+  PayloadTable table;
   auto a = Bytes({1, 2, 3});
   auto a_copy = a;
   auto b = Bytes({1, 2, 3, 4});
   std::vector<uint8_t> empty;
-  MergeMemo::Key ab = memo.KeyOf(a.data(), a.size(), b.data(), b.size());
-  MergeMemo::Key copy_b = memo.KeyOf(a_copy.data(), a_copy.size(), b.data(), b.size());
-  MergeMemo::Key empty_a = memo.KeyOf(empty.data(), empty.size(), a.data(), a.size());
-  EXPECT_EQ(ab.a, copy_b.a);
-  EXPECT_EQ(ab.b, copy_b.b);
-  EXPECT_NE(ab.a, ab.b);
-  EXPECT_EQ(empty_a.b, ab.a);
-  EXPECT_NE(empty_a.a, ab.a);
-  EXPECT_EQ(memo.num_payloads(), 3u);
+  uint32_t id_a = table.Intern(a.data(), a.size());
+  uint32_t id_b = table.Intern(b.data(), b.size());
+  EXPECT_EQ(table.Intern(a_copy.data(), a_copy.size()), id_a);
+  EXPECT_NE(id_a, id_b);
+  uint32_t id_empty = table.Intern(empty.data(), empty.size());
+  EXPECT_NE(id_empty, id_a);
+  EXPECT_NE(id_empty, id_b);
+  EXPECT_EQ(table.num_payloads(), 3u);
+  PayloadBytes bytes = table.Bytes(id_b);
+  EXPECT_EQ(std::vector<uint8_t>(bytes.data, bytes.data + bytes.size), b);
+  EXPECT_EQ(table.Bytes(id_empty).size, 0u);
 }
 
 TEST(MergeMemoTest, FindsWhatWasInsertedAndOnlyThat) {
+  PayloadTable table;
   MergeMemo memo;
   auto a = Bytes({7});
   auto b = Bytes({8, 9});
-  MergeMemo::Key ab = memo.KeyOf(a.data(), a.size(), b.data(), b.size());
-  MergeMemo::Key ba = memo.KeyOf(b.data(), b.size(), a.data(), a.size());
-  MergeMemo::Key aa = memo.KeyOf(a.data(), a.size(), a.data(), a.size());
-  MergeMemo::Result out;
+  auto ab_bytes = Bytes({7, 8, 9});
+  uint32_t id_a = table.Intern(a.data(), a.size());
+  uint32_t id_b = table.Intern(b.data(), b.size());
+  uint32_t id_ab = table.Intern(ab_bytes.data(), ab_bytes.size());
+  MergeMemo::Key ab{id_a, id_b};
+  MergeMemo::Key ba{id_b, id_a};
+  MergeMemo::Key aa{id_a, id_a};
+  uint32_t out = 0;
   EXPECT_FALSE(memo.Find(ab, &out));
-  memo.Insert(ab, Bytes({7, 8, 9}));
-  memo.Insert(ba, std::nullopt);
-  out = Bytes({1});
+  memo.Insert(ab, id_ab);
+  memo.Insert(ba, MergeMemo::kNone);
+  out = 12345;
   ASSERT_TRUE(memo.Find(ab, &out));
-  EXPECT_EQ(out, MergeMemo::Result(Bytes({7, 8, 9})));
+  EXPECT_EQ(out, id_ab);
   ASSERT_TRUE(memo.Find(ba, &out));
-  EXPECT_FALSE(out.has_value());  // unsat
+  EXPECT_EQ(out, MergeMemo::kNone);  // unsat
   EXPECT_FALSE(memo.Find(aa, &out));
   EXPECT_EQ(memo.num_pairs(), 2u);
+  memo.Clear();
+  EXPECT_FALSE(memo.Find(ab, &out));
+  EXPECT_EQ(memo.num_pairs(), 0u);
 }
 
 // 200K random payloads of 4-20 bytes: the 32-bit probe hashes collide with
@@ -65,33 +75,29 @@ TEST(MergeMemoTest, ExactUnderHashCollisionsAndGrowth) {
       payloads.push_back(std::move(bytes));
     }
   }
+  PayloadTable table;
   MergeMemo memo;
+  std::vector<uint32_t> ids;
+  for (const auto& payload : payloads) {
+    ids.push_back(table.Intern(payload.data(), payload.size()));
+  }
   std::vector<MergeMemo::Key> keys;
   for (size_t i = 0; i < kPayloads; ++i) {
-    const auto& a = payloads[i];
-    const auto& b = payloads[(i * 7 + 3) % kPayloads];
-    keys.push_back(memo.KeyOf(a.data(), a.size(), b.data(), b.size()));
-    if (i % 3 == 0) {
-      memo.Insert(keys.back(), std::nullopt);
-    } else {
-      memo.Insert(keys.back(), payloads[(i + 1) % kPayloads]);
-    }
+    keys.push_back({ids[i], ids[(i * 7 + 3) % kPayloads]});
+    memo.Insert(keys.back(), i % 3 == 0 ? MergeMemo::kNone : ids[(i + 1) % kPayloads]);
   }
-  EXPECT_EQ(memo.num_payloads(), kPayloads);
+  EXPECT_EQ(table.num_payloads(), kPayloads);
   EXPECT_EQ(memo.num_pairs(), kPayloads);
   for (size_t i = 0; i < kPayloads; ++i) {
     const auto& a = payloads[i];
-    MergeMemo::Key again = memo.KeyOf(a.data(), a.size(), a.data(), a.size());
-    ASSERT_EQ(again.a, keys[i].a) << i;
-    MergeMemo::Result out;
+    ASSERT_EQ(table.Intern(a.data(), a.size()), ids[i]) << i;
+    PayloadBytes bytes = table.Bytes(ids[i]);
+    ASSERT_EQ(std::vector<uint8_t>(bytes.data, bytes.data + bytes.size), a) << i;
+    uint32_t out = 0;
     ASSERT_TRUE(memo.Find(keys[i], &out)) << i;
-    if (i % 3 == 0) {
-      ASSERT_FALSE(out.has_value()) << i;
-    } else {
-      ASSERT_EQ(out, MergeMemo::Result(payloads[(i + 1) % kPayloads])) << i;
-    }
+    ASSERT_EQ(out, i % 3 == 0 ? MergeMemo::kNone : ids[(i + 1) % kPayloads]) << i;
   }
-  EXPECT_EQ(memo.num_payloads(), kPayloads);  // re-probes interned nothing new
+  EXPECT_EQ(table.num_payloads(), kPayloads);  // re-probes interned nothing new
 }
 
 }  // namespace

@@ -42,9 +42,11 @@ namespace {
 // Spins with a checker/phase/pair context installed until `stop` is set.
 void SpinWithContext(uint32_t checker_id, const char* phase, uint32_t pair_i, uint32_t pair_j,
                      const std::atomic<bool>* stop) {
-  ProfChecker checker(checker_id);
+  // The checker marker opens last and closes first, so every sample that
+  // carries the checker also carries its phase and pair.
   ProfPhase prof_phase(phase);
   ProfPair pair(pair_i, pair_j);
+  ProfChecker checker(checker_id);
   volatile uint64_t sink = 0;
   while (!stop->load(std::memory_order_relaxed)) {
     sink = sink * 2654435761u + 1;
