@@ -16,6 +16,9 @@
 # CI smoke run); GRAPPLE_WITNESS picks the provenance mode under test;
 # GRAPPLE_CHECKER_PARALLELISM sets the concurrent-checker count used by the
 # scheduler speedup section of table3 (default 4).
+#
+# Besides the bench binaries' reports, the sweep writes BENCH_code_size.json:
+# the gauge src_lines, the line count of src/**/*.{cc,h}.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -40,6 +43,16 @@ for bench in "${benches[@]}"; do
   echo "==> ${bench} (GRAPPLE_SCALE=${GRAPPLE_SCALE:-1})"
   "${build_dir}/bench/${bench}"
 done
+
+src_lines="$(find "${repo_root}/src" \( -name '*.cc' -o -name '*.h' \) -print0 |
+  xargs -0 cat | wc -l | tr -d ' ')"
+echo "==> code_size: src_lines=${src_lines}"
+code_size_format='{"schema":"grapple.bench_report.v1","bench":"code_size","subjects":[{"subject":"src",'
+code_size_format+='"phases":[{"name":"lines","metrics":{"counters":{},"gauges":{"src_lines":%s},'
+code_size_format+='"histograms":{}}}]}]}\n'
+# shellcheck disable=SC2059  # the format is the fixed template above
+printf "${code_size_format}" "${src_lines}" > "${out_dir}/BENCH_code_size.json"
+benches+=(code_size)
 
 # Validate every report before embedding it: the trajectory file is built
 # by concatenation, so one malformed BENCH_<name>.json would poison the

@@ -250,6 +250,13 @@ DEFAULT_WATCH = [
         "direction": "higher_is_better",
         "min": 1.0,
     },
+    {
+        # Line count of src/**/*.{cc,h} (scripts/bench.sh). Code should
+        # shrink or hold; growth past 5% needs a re-baseline that says why.
+        "key": "code_size/src/lines/gauge:src_lines",
+        "direction": "lower_is_better",
+        "tolerance": 0.05,
+    },
 ]
 
 

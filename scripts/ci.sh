@@ -86,14 +86,18 @@ run_bench_smoke() {
   python3 "${repo_root}/scripts/check_bench.py" \
     --baseline "${repo_root}/bench/BENCH_baseline.json" \
     "${out_dir}/BENCH_trajectory.json"
-  # The gate must actually gate: an injected 2x regression has to fail.
-  if python3 "${repo_root}/scripts/check_bench.py" \
-      --baseline "${repo_root}/bench/BENCH_baseline.json" \
-      --inject-regression 2.0 \
-      "${out_dir}/BENCH_trajectory.json" > /dev/null 2>&1; then
-    echo "check_bench self-test FAILED: injected regression passed the gate" >&2
-    exit 1
-  fi
+  # The gate must actually gate: an injected 2x regression has to fail,
+  # over the whole watch list and over the src_lines gauge alone.
+  local only
+  for only in "" "gauge:src_lines"; do
+    if python3 "${repo_root}/scripts/check_bench.py" \
+        --baseline "${repo_root}/bench/BENCH_baseline.json" \
+        --inject-regression 2.0 ${only:+--only "${only}"} \
+        "${out_dir}/BENCH_trajectory.json" > /dev/null 2>&1; then
+      echo "check_bench self-test FAILED: injected regression passed the gate${only:+ (${only})}" >&2
+      exit 1
+    fi
+  done
   echo "==> [bench] gate self-test ok (injected regression rejected)"
   echo "==> [bench] sample witness report"
   GRAPPLE_WITNESS=bugs "${build_dir}/examples/analyze_file" \
@@ -450,9 +454,10 @@ PY
 }
 
 # ThreadSanitizer pass: the whole suite runs under TSan (the scheduler,
-# arbiter, and engine tests all spin up real thread contention), then the
-# parallel pipeline is exercised end-to-end on a generated workload via the
-# table3 scheduler section, which runs 4 checkers concurrently.
+# task-runtime, service, and engine tests all spin up real thread
+# contention), then the parallel pipeline is exercised end-to-end on a
+# generated workload via the table3 scheduler section, which runs 4
+# checkers concurrently.
 run_tsan() {
   local build_dir="${repo_root}/build-ci-tsan"
   run_pass tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGRAPPLE_SANITIZE=thread

@@ -123,9 +123,10 @@ std::vector<std::string> GrappleOptions::Validate() const {
     errors.push_back("scheduling: checker_parallelism and num_threads cannot both be 0; the "
                      "worker formula multiplies them, and hardware-concurrency squared is an "
                      "oversubscription no machine wants — pin at least one of them");
-  }
-  if (scheduling.checker_parallelism > 0 && scheduling.num_threads > 0 &&
-      scheduling.checker_parallelism * scheduling.num_threads > 1024) {
+  } else if (ResolveThreadCount(scheduling.num_threads) >
+             1024 / ResolveThreadCount(scheduling.checker_parallelism)) {
+    // Resolved counts (0 = hardware concurrency), divided rather than
+    // multiplied: neither a 0 nor a product that wraps slips past the rule.
     errors.push_back("scheduling: checker_parallelism * num_threads must be <= 1024 worker "
                      "threads; past that the scheduler is managing thread churn, not work");
   }
@@ -448,10 +449,10 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
 
 CheckerRunResult Grapple::CheckOne(const FsmSpec& spec) {
   EnsureAliasPhase();
-  return CheckOne(spec, nullptr, nullptr);
+  return CheckOne(spec, options_.engine.memory_budget_bytes, nullptr);
 }
 
-CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, BudgetLease* lease,
+CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, uint64_t memory_budget_bytes,
                                    obs::PhaseReport* phase_out) {
   const AliasPhase& alias = *alias_phase_;
   WallTimer checker_timer;
@@ -482,7 +483,7 @@ CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, BudgetLease* lease,
   ts_engine_options.work_dir = CheckerDir(spec.fsm.name());
   ts_engine_options.record_provenance =
       options_.observability.witness != obs::WitnessMode::kOff;
-  ts_engine_options.budget_lease = lease;
+  ts_engine_options.memory_budget_bytes = memory_budget_bytes;
   GraphEngine ts_engine(&ts_grammar, &ts_oracle, ts_engine_options);
   TypestateGraph ts_graph(*alias.graph, *alias.index, completed, ts_labels, tracked, &ts_engine,
                           options_.precision.qualify_events_with_alias_paths);
@@ -538,9 +539,9 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
   // never leak exceptions (a throw escaping a runtime task would
   // terminate), so the parallel path always isolates and the no-isolation
   // policy is applied after the barrier.
-  auto run_isolated = [&](size_t i, BudgetLease* lease) {
+  auto run_isolated = [&](size_t i, uint64_t budget_bytes) {
     try {
-      runs[i] = CheckOne(specs[i], lease, &phases[i]);
+      runs[i] = CheckOne(specs[i], budget_bytes, &phases[i]);
     } catch (const std::exception& e) {
       runs[i] = CheckerRunResult();
       runs[i].checker = specs[i].fsm.name();
@@ -559,25 +560,19 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
   };
   size_t parallelism =
       std::min(ResolveThreadCount(options_.scheduling.checker_parallelism), specs.size());
+  const uint64_t total_budget = options_.engine.memory_budget_bytes;
   if (parallelism <= 1) {
     for (size_t i = 0; i < specs.size(); ++i) {
       if (options_.robustness.isolate_checker_failures) {
-        run_isolated(i, nullptr);
+        run_isolated(i, total_budget);
       } else {
-        runs[i] = CheckOne(specs[i], nullptr, &phases[i]);
+        runs[i] = CheckOne(specs[i], total_budget, &phases[i]);
       }
     }
   } else {
-    // Each concurrent engine leases an equal slice of the analysis-wide
-    // budget up front (so the sum never exceeds it) and may borrow released
-    // headroom as siblings finish.
-    BudgetArbiter arbiter(options_.engine.memory_budget_bytes);
-    uint64_t slice = std::max<uint64_t>(1, arbiter.total_bytes() / parallelism);
-    // Scoped to the parallel section: the handle unregisters (and with it
-    // any in-flight scrape completes) before the arbiter goes away.
-    obs::Introspection::Handle arbiter_gauge = obs::Introspection::RegisterGaugeSource(
-        "budget_arbiter_waiters",
-        [&arbiter] { return static_cast<double>(arbiter.waiter_count()); });
+    // Each concurrent engine gets a fixed, equal slice of the analysis-wide
+    // budget, so the live budgets never sum to more than the total.
+    uint64_t slice = std::max<uint64_t>(1, total_budget / parallelism);
     // Checker trees run as top-level foreground tasks on the session
     // runtime: exactly `parallelism` slot tasks, each pulling the next spec
     // from a shared cursor, so at most `parallelism` checkers (and budget
@@ -588,11 +583,10 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
     TaskGroup slots(runtime_.get());
     for (size_t slot = 0; slot < parallelism; ++slot) {
       slots.Submit(TaskLane::kForeground, /*affinity=*/0,
-                   [&run_isolated, &arbiter, &next_spec, &specs, slice] {
+                   [&run_isolated, &next_spec, &specs, slice] {
                      size_t i;
                      while ((i = next_spec.fetch_add(1)) < specs.size()) {
-                       BudgetLease lease = arbiter.Acquire(slice);
-                       run_isolated(i, &lease);
+                       run_isolated(i, slice);
                      }
                    });
     }

@@ -40,7 +40,6 @@
 #include "src/obs/report.h"
 #include "src/obs/statusz.h"
 #include "src/smt/solver.h"
-#include "src/support/budget_arbiter.h"
 #include "src/support/byte_io.h"
 #include "src/support/task_runtime.h"
 #include "src/symexec/cfet_builder.h"
@@ -54,9 +53,9 @@ struct GrappleOptions {
   // Knobs of the out-of-core engine and its constraint oracle.
   struct EngineTuning {
     // Analysis-wide cap on bytes of edge data resident in memory. With
-    // concurrent checkers this is the *total* across all live engines,
-    // arbitrated by a BudgetArbiter; sequentially each engine gets all of
-    // it. Smaller values force more partitions and exercise the
+    // concurrent checkers this is the *total* across all live engines: each
+    // gets a fixed slice of total / parallelism. Sequentially each engine
+    // gets all of it. Smaller values force more partitions and exercise the
     // out-of-core machinery.
     uint64_t memory_budget_bytes = uint64_t{64} << 20;
     // Per-(src,dst,label) cap on distinct payload variants; reaching it
@@ -132,7 +131,9 @@ struct GrappleOptions {
   struct Scheduling {
     // Outer concurrency: how many checkers (phase 2+3 engine runs) execute
     // at once. Check() runs at most this many checker tasks concurrently
-    // regardless of the worker count.
+    // regardless of the worker count, and with more than one, each engine
+    // gets a fixed 1/parallelism slice of engine.memory_budget_bytes
+    // (parallelism capped by the spec count).
     size_t checker_parallelism = 1;
     // Inner concurrency: each engine splits its join loop into this many
     // shards (0 = hardware concurrency). The shard count — not the worker
@@ -287,8 +288,8 @@ class Grapple {
   // results. Phase 1 (alias analysis) runs on the first call and is cached
   // for the session; phases 2-3 run per spec — sequentially, or as
   // concurrent tasks on the session's TaskRuntime when
-  // scheduling.checker_parallelism > 1, with the engine memory budget split
-  // across concurrent runs by a BudgetArbiter.
+  // scheduling.checker_parallelism > 1, each concurrent engine then running
+  // under an equal fixed slice of the memory budget.
   // Reports, witnesses, and phase ordering are identical either way.
   // May be called repeatedly. A checker whose engine run fails with an I/O
   // error yields a degraded result slot (see CheckerRunResult) unless
@@ -322,10 +323,11 @@ class Grapple {
   struct AliasPhase;
 
   const AliasPhase& EnsureAliasPhase();
-  // Phases 2-3 for one spec. `lease` (may be null) is the engine's slice of
-  // the shared memory budget; `phase_out` (may be null) receives the
-  // obs::PhaseReport for result aggregation.
-  CheckerRunResult CheckOne(const FsmSpec& spec, BudgetLease* lease, obs::PhaseReport* phase_out);
+  // Phases 2-3 for one spec. `memory_budget_bytes` is the engine's budget
+  // (its slice of the total when checkers run concurrently); `phase_out`
+  // (may be null) receives the obs::PhaseReport for result aggregation.
+  CheckerRunResult CheckOne(const FsmSpec& spec, uint64_t memory_budget_bytes,
+                            obs::PhaseReport* phase_out);
 
   std::string PhaseDir(const std::string& name);
   // Work subdirectory for one checker run: "typestate-<name>" on the

@@ -227,7 +227,6 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       c_unsat_pruned_(metrics_.Counter("engine_unsat_pruned_total")),
       c_widened_triples_(metrics_.Counter("engine_widened_triples_total")),
       c_partition_splits_(metrics_.Counter("engine_partition_splits_total")),
-      c_budget_borrows_(metrics_.Counter("engine_budget_borrows_total")),
       c_preprocess_ns_(metrics_.Counter("engine_preprocess_ns")),
       c_compute_ns_(metrics_.Counter("engine_compute_ns")),
       h_join_round_joins_(metrics_.Histogram("engine_join_round_joins")),
@@ -252,16 +251,13 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
       store_(options_.work_dir, &metrics_,
-             PartitionStorePipeline{options_.io_pipeline,
-                                    options_.budget_lease, options_.memory_budget_bytes,
-                                    runtime_}),
+             PartitionStorePipeline{options_.io_pipeline, options_.memory_budget_bytes, runtime_}),
       true_payload_(oracle_->Intern(oracle_->TruePayload())) {
   obs::EventLogInstall();
   // Propose this engine's work dir as the crash-dump target; the Grapple
   // facade (when present) has already claimed the run work dir.
   obs::EventLogSetCrashDumpPath(options_.work_dir + "/flightrec.bin", /*only_if_unset=*/true);
-  metrics_.SetGauge("engine_budget_bytes", static_cast<double>(BudgetBytes()));
-  live_budget_bytes_.store(BudgetBytes(), std::memory_order_relaxed);
+  metrics_.SetGauge("engine_budget_bytes", static_cast<double>(options_.memory_budget_bytes));
   if (options_.record_provenance) {
     provenance_ = std::make_unique<obs::ProvenanceWriter>(store_.ProvenancePath(), &metrics_);
   }
@@ -285,15 +281,10 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
     }
     w.Key("pairs_done").UInt(live_pairs_done_.load(std::memory_order_relaxed));
     w.Key("checkpoints_published").UInt(live_ckpts_published_.load(std::memory_order_relaxed));
-    w.Key("budget_bytes").UInt(live_budget_bytes_.load(std::memory_order_relaxed));
+    w.Key("budget_bytes").UInt(options_.memory_budget_bytes);
     w.EndObject();
     return w.Take();
   });
-}
-
-uint64_t GraphEngine::BudgetBytes() const {
-  return options_.budget_lease != nullptr ? options_.budget_lease->bytes()
-                                          : options_.memory_budget_bytes;
 }
 
 void GraphEngine::ObserveWitnessDecode(uint64_t nanos) {
@@ -640,7 +631,7 @@ void GraphEngine::Finalize(VertexId num_vertices) {
   pending_base_.shrink_to_fit();
   stats_.base_edges = expanded.size();
   metrics_.Add(c_base_edges_, expanded.size());
-  store_.Initialize(std::move(expanded), num_vertices, BudgetBytes() / 4);
+  store_.Initialize(std::move(expanded), num_vertices, options_.memory_budget_bytes / 4);
   metrics_.AddNanos(c_preprocess_ns_, timer.ElapsedNanos());
   stats_.preprocess_seconds = timer.ElapsedSeconds();
   stats_.num_partitions = store_.NumPartitions();
@@ -1180,27 +1171,19 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     }
     metrics_.AddNanos(c_integrate_ns_, integrate_timer.ElapsedNanos());
     // Eager memory guard: when the resident pair has outgrown the budget
-    // with joins still pending, first try to borrow headroom from the
-    // shared arbiter (released by engines that already finished); only if
-    // that fails stop the local fixpoint early, write back (splitting), and
-    // reschedule. An empty frontier is the local fixpoint, whatever the
-    // resident size: marking it incomplete would re-pick this pair forever.
+    // with joins still pending, stop the local fixpoint early, write back
+    // (splitting), and reschedule. An empty frontier is the local fixpoint,
+    // whatever the resident size: marking it incomplete would re-pick this
+    // pair forever.
     metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.resident_bytes()));
-    if (!frontier.empty() && pair.resident_bytes() > BudgetBytes()) {
-      uint64_t want = pair.resident_bytes() + pair.resident_bytes() / 2;
-      if (options_.budget_lease != nullptr && options_.budget_lease->TryGrowTo(want)) {
-        metrics_.Add(c_budget_borrows_);
-        metrics_.SetGauge("engine_budget_bytes", static_cast<double>(BudgetBytes()));
-        live_budget_bytes_.store(BudgetBytes(), std::memory_order_relaxed);
-      } else {
-        complete = false;
-        break;
-      }
+    if (!frontier.empty() && pair.resident_bytes() > options_.memory_budget_bytes) {
+      complete = false;
+      break;
     }
   }
 
   // --- write back ---
-  uint64_t target = BudgetBytes() / 4;
+  uint64_t target = options_.memory_budget_bytes / 4;
   auto writeback = [&](size_t index_p, bool changed, VertexId lo, VertexId hi) {
     if (!changed) {
       return false;

@@ -28,7 +28,6 @@
 #include "src/obs/provenance.h"
 #include "src/obs/statusz.h"
 #include "src/pathenc/path_encoding.h"
-#include "src/support/budget_arbiter.h"
 #include "src/support/task_runtime.h"
 #include "src/support/timer.h"
 
@@ -41,13 +40,6 @@ struct EngineOptions {
   // partitions + induced edges). Partitions target budget/4 so that a pair
   // plus growth fits.
   uint64_t memory_budget_bytes = uint64_t{64} << 20;
-  // Non-owning; when set, the lease is the live memory budget instead of
-  // memory_budget_bytes: the engine reads its current size every time it
-  // checks the soft cap, and tries to borrow (grow the lease) before
-  // spilling early under memory pressure. Used by the facade's concurrent
-  // checker scheduler so N engines share one analysis-wide budget. The
-  // lease must outlive the engine and not be touched by other threads.
-  BudgetLease* budget_lease = nullptr;
   // Join-loop parallelism: the frontier is split into this many contiguous
   // shards per round (1 = sequential, 0 = hardware concurrency). This is a
   // sharding factor, not a thread count: shard tasks run on `runtime`
@@ -204,9 +196,6 @@ class GraphEngine : public EdgeSink {
   // produces no writes: the first stale pair after it in scan order.
   // Feeds the store's prefetcher; returns false when no such pair exists.
   bool PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* next_j) const;
-  // Current soft memory cap: the lease size when scheduled under a budget
-  // arbiter, the static option otherwise.
-  uint64_t BudgetBytes() const;
   // An edge's identity without its payload.
   struct Triple {
     VertexId src;
@@ -255,7 +244,6 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_unsat_pruned_;
   obs::MetricId c_widened_triples_;
   obs::MetricId c_partition_splits_;
-  obs::MetricId c_budget_borrows_;
   obs::MetricId c_preprocess_ns_;
   obs::MetricId c_compute_ns_;
   obs::MetricId h_join_round_joins_;
@@ -305,7 +293,6 @@ class GraphEngine : public EdgeSink {
   std::atomic<uint64_t> live_pair_{kNoLivePair};  // pi << 32 | pj
   std::atomic<uint64_t> live_pairs_done_{0};
   std::atomic<uint64_t> live_ckpts_published_{0};
-  std::atomic<uint64_t> live_budget_bytes_{0};  // mirrors the lease across borrows
 
   // Introspection registrations. Declared last on purpose: destroyed (and
   // therefore unregistered) before any member their callbacks read.

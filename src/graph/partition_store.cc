@@ -35,7 +35,6 @@ PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
     c_write_cache_hits_ = metrics_->Counter("io_write_cache_hits_total");
     c_prefetch_wasted_ = metrics_->Counter("io_prefetch_wasted_total");
     c_prefetch_issued_ = metrics_->Counter("io_prefetch_issued_total");
-    c_cache_borrows_ = metrics_->Counter("io_cache_budget_borrows_total");
   }
   if (pipeline_.enabled) {
     if (pipeline_.runtime != nullptr) {
@@ -67,9 +66,7 @@ std::string PartitionStore::FileFor(VertexId lo) const {
 }
 
 uint64_t PartitionStore::CacheCapacity() const {
-  uint64_t budget = pipeline_.budget_lease != nullptr ? pipeline_.budget_lease->bytes()
-                                                      : pipeline_.budget_bytes;
-  return std::max(budget / 4, kMinCacheBytes) + cache_borrowed_;
+  return std::max(pipeline_.budget_bytes / 4, kMinCacheBytes);
 }
 
 void PartitionStore::Enqueue(const std::string& path, TaskLane lane,
@@ -382,16 +379,7 @@ void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
       }
     }
     if (cache_bytes_ + need > CacheCapacity()) {
-      // Try to borrow headroom from the shared budget before giving up on
-      // the read-ahead. The lease is only ever touched from this thread.
-      BudgetLease* lease = pipeline_.budget_lease;
-      if (lease == nullptr || !lease->TryGrowTo(lease->bytes() + need)) {
-        continue;
-      }
-      cache_borrowed_ += need;
-      if (metrics_ != nullptr) {
-        metrics_->Add(c_cache_borrows_);
-      }
+      continue;
     }
     {
       std::lock_guard<std::mutex> lock(cache_mutex_);

@@ -42,7 +42,6 @@
 #include "src/graph/edge.h"
 #include "src/obs/metrics.h"
 #include "src/obs/statusz.h"
-#include "src/support/budget_arbiter.h"
 #include "src/support/task_runtime.h"
 
 namespace grapple {
@@ -66,12 +65,8 @@ struct PartitionInfo {
 struct PartitionStorePipeline {
   // Enables write-behind + prefetch + the compact block format.
   bool enabled = false;
-  // Optional shared budget (must outlive the store; only ever touched from
-  // the store's owning thread): the prefetch cache tries to grow the lease
-  // before turning a Hint away. May be null even when enabled.
-  BudgetLease* budget_lease = nullptr;
-  // Fallback budget when no lease is present. The prefetch cache is sized
-  // at budget/4 — one partition-target's worth of read-ahead.
+  // The engine's memory budget. The prefetch cache is sized at budget/4 —
+  // one partition-target's worth of read-ahead.
   uint64_t budget_bytes = uint64_t{64} << 20;
   // Scheduler that executes the store's per-file I/O strands (non-owning;
   // must outlive the store). Null with `enabled` set means the store spins
@@ -125,8 +120,8 @@ class PartitionStore {
 
   // Read-ahead hint: the engine expects to Load these partitions soon.
   // Queues prefetch-lane reads (behind each file's pending writes, so they
-  // see current data) into the cache, as capacity — possibly borrowed from
-  // the budget lease — allows. No-op when pipelining is off.
+  // see current data) into the cache, as capacity allows. No-op when
+  // pipelining is off.
   void Hint(const std::vector<size_t>& next_indices);
 
   // Barrier: blocks until every queued write/read has hit the filesystem
@@ -266,7 +261,6 @@ class PartitionStore {
   obs::MetricId c_write_cache_hits_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_wasted_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_issued_ = obs::kInvalidMetric;
-  obs::MetricId c_cache_borrows_ = obs::kInvalidMetric;
   PartitionStorePipeline pipeline_;
   VertexId num_vertices_ = 0;
   std::vector<PartitionInfo> partitions_;  // sorted by lo, contiguous
@@ -298,8 +292,7 @@ class PartitionStore {
   // deferred delete) per file: the work list Sync() and the destructor
   // drain. Superset of pending_writes_.
   std::unordered_map<std::string, uint64_t> pending_ops_;
-  uint64_t cache_bytes_ = 0;     // foreground-only: sum of charges
-  uint64_t cache_borrowed_ = 0;  // capacity borrowed from the lease
+  uint64_t cache_bytes_ = 0;  // foreground-only: sum of charges
   std::atomic<int64_t> queue_depth_{0};
   // Mirror of cache_bytes_ for the /statusz scrape thread: cache_bytes_
   // itself is foreground-only, so scrapes read this relaxed copy instead.

@@ -560,12 +560,6 @@ const char* EventTypeName(uint16_t type) {
       return "prefetch_hit";
     case evt::kPrefetchWaste:
       return "prefetch_waste";
-    case evt::kArbiterAcquire:
-      return "arbiter_acquire";
-    case evt::kArbiterBorrow:
-      return "arbiter_borrow";
-    case evt::kArbiterWait:
-      return "arbiter_wait";
     case evt::kCheckpointPublish:
       return "checkpoint_publish";
     case evt::kIoRetry:

@@ -157,11 +157,9 @@ void SigprofHandler(int /*sig*/) {
   errno = saved_errno;
 }
 
-// evt::Emit observer: maintains the per-thread off-CPU wait kind. The
-// arbiter's existing kArbiterWait/kArbiterAcquire pair brackets a blocking
-// Acquire; kWaitBegin/kWaitEnd carry the kind explicitly. kWaitEnd (and
-// kArbiterAcquire, which is also emitted for non-blocking acquires) only
-// clears the state it set, so unrelated nesting stays intact.
+// evt::Emit observer: maintains the per-thread off-CPU wait kind.
+// kWaitBegin/kWaitEnd carry the kind explicitly. kWaitEnd only clears the
+// state it set, so unrelated nesting stays intact.
 void ProfObserver(uint16_t type, uint32_t /*a0*/, uint64_t a1, uint64_t /*a2*/) {
   switch (type) {
     case evt::kWaitBegin:
@@ -170,16 +168,6 @@ void ProfObserver(uint16_t type, uint32_t /*a0*/, uint64_t a1, uint64_t /*a2*/) 
     case evt::kWaitEnd: {
       ThreadProf* tp = t_prof;
       if (tp != nullptr && tp->wait.load(std::memory_order_relaxed) == static_cast<uint32_t>(a1)) {
-        tp->wait.store(evt::kWaitNone, std::memory_order_relaxed);
-      }
-      break;
-    }
-    case evt::kArbiterWait:
-      EnsureThreadProf()->wait.store(evt::kWaitArbiter, std::memory_order_relaxed);
-      break;
-    case evt::kArbiterAcquire: {
-      ThreadProf* tp = t_prof;
-      if (tp != nullptr && tp->wait.load(std::memory_order_relaxed) == evt::kWaitArbiter) {
         tp->wait.store(evt::kWaitNone, std::memory_order_relaxed);
       }
       break;
@@ -809,8 +797,6 @@ const char* ProfileWaitKindName(uint32_t kind) {
   switch (kind) {
     case evt::kWaitNone:
       return "none";
-    case evt::kWaitArbiter:
-      return "arbiter";
     case evt::kWaitIoBarrier:
       return "io_barrier";
     case evt::kWaitIoQueue:

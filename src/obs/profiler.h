@@ -11,9 +11,8 @@
 // pattern), so every sample lands in exactly one
 // (checker, phase, pair, on/off-CPU) bucket whether the thread was running
 // or blocked. Off-CPU state comes from the evt::Emit observer tap: the
-// existing kArbiterWait/kArbiterAcquire bracket plus the kWaitBegin/kWaitEnd
-// events emitted at I/O barriers, pending-I/O drains, and simulated solve
-// blocks.
+// kWaitBegin/kWaitEnd events emitted at I/O barriers, pending-I/O drains,
+// simulated solve blocks, and task-runtime waits.
 //
 // The ticker harvests rings each tick into the cost ledger — a map from
 // (checker, phase, pair, wait kind) to sample count — which persists as
@@ -190,7 +189,7 @@ std::map<std::string, double> ProfilePhaseFractions(const ProfileData& data);
 // profiler never ran.
 std::string ProfileSummaryJson();
 
-// "none", "arbiter", "io_barrier", "io_queue", "solve", or "unknown".
+// "none", "io_barrier", "io_queue", "solve", "task", or "unknown".
 const char* ProfileWaitKindName(uint32_t kind);
 
 }  // namespace obs

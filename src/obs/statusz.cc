@@ -63,7 +63,6 @@ std::string PrometheusHelp(const std::string& name) {
   static const std::map<std::string, std::string>* overrides =
       new std::map<std::string, std::string>{
           {"rss_bytes", "Resident set size of the process."},
-          {"budget_arbiter_waiters", "Checkers currently blocked in BudgetArbiter::Acquire."},
           {"obs_overhead", "Relative wall-clock cost of observability (on/off - 1)."},
           {"prof_overhead", "Relative wall-clock cost of the sampling profiler (on/off - 1)."},
       };
@@ -194,14 +193,7 @@ std::string Introspection::StatusJson() {
       }
       int use = name_uses[source.name]++;
       std::string key = use == 0 ? source.name : source.name + "#" + std::to_string(use);
-      std::string body = source.status_fn();
-      w.Key(key);
-      std::string error;
-      if (ParseJson(body, &error).has_value()) {
-        w.Raw(body);
-      } else {
-        w.String(body);  // defensive: a non-JSON source becomes a string
-      }
+      w.Key(key).Raw(source.status_fn());
     }
   }
   w.EndObject();

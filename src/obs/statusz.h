@@ -64,12 +64,13 @@ class Introspection {
   // A full registry snapshot, merged across sources for /metricsz.
   static Handle RegisterMetricsSource(const std::string& name,
                                       std::function<MetricsSnapshot()> fn);
-  // A single live number (queue depth, cache bytes, waiter count). Sources
+  // A single live number (queue depth, cache bytes, resident sessions). Sources
   // sharing a name are summed — N engines' queue depths add up.
   static Handle RegisterGaugeSource(const std::string& name, std::function<double()> fn);
   // A JSON object (rendered text) describing live state: the session's
-  // active checkers, an engine's pair cursor. Duplicate names get a "#k"
-  // suffix in StatusJson().
+  // active checkers, an engine's pair cursor. The text is spliced into
+  // StatusJson() verbatim, so it must be valid JSON (render it with
+  // JsonWriter). Duplicate names get a "#k" suffix in StatusJson().
   static Handle RegisterStatusSource(const std::string& name,
                                      std::function<std::string()> fn);
 

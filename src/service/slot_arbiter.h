@@ -1,21 +1,19 @@
 // FIFO-fair checker-slot arbitration for the analysis service
 // (DESIGN.md §15).
 //
-// The BudgetArbiter (support/budget_arbiter.h) caps *bytes* across
-// concurrent engines; this caps *concurrent Check() runs* across resident
-// sessions. Each session owns a work-stealing TaskRuntime sized for its own
-// checker parallelism (DESIGN.md §14), so N sessions checking at once would
-// oversubscribe the machine N-fold. The service takes one slot per request
-// before touching a session:
+// It caps *concurrent Check() runs* across resident sessions. Each session
+// owns a work-stealing TaskRuntime sized for its own checker parallelism
+// (DESIGN.md §14), so N sessions checking at once would oversubscribe the
+// machine N-fold. The service takes one slot per request before touching a
+// session:
 //
 //   SlotArbiter slots(2);
 //   SlotLease lease = slots.Acquire();   // blocks, FIFO ticket order
 //   ... run session->Check(...) ...
 //   lease.Release();                     // or let it destruct
 //
-// Acquire is ticket-fair like BudgetArbiter::Acquire: slots are granted
-// strictly in arrival order, so a stream of cheap requests cannot starve an
-// expensive one.
+// Acquire is ticket-fair: slots are granted strictly in arrival order, so a
+// stream of cheap requests cannot starve an expensive one.
 #ifndef GRAPPLE_SRC_SERVICE_SLOT_ARBITER_H_
 #define GRAPPLE_SRC_SERVICE_SLOT_ARBITER_H_
 
@@ -63,7 +61,7 @@ class SlotArbiter {
 
   size_t slots() const { return slots_; }
   size_t in_use() const;
-  // Currently queued Acquire calls (observational, like BudgetArbiter).
+  // Currently queued Acquire calls (observational).
   uint64_t waiters() const;
   size_t peak_in_use() const;
 
@@ -77,7 +75,7 @@ class SlotArbiter {
   std::condition_variable cv_;
   size_t in_use_ = 0;
   size_t peak_in_use_ = 0;
-  // FIFO ticket lock over Acquire, mirroring BudgetArbiter.
+  // FIFO ticket lock over Acquire.
   uint64_t next_ticket_ = 0;
   uint64_t serving_ = 0;
 };

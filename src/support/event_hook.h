@@ -1,7 +1,7 @@
 // Process-wide structured-event hook: the support layer's half of the
 // flight recorder (DESIGN.md §12).
 //
-// Low-level code (byte_io retries, fault injection, the budget arbiter)
+// Low-level code (byte_io retries, fault injection, the task runtime)
 // sits below src/obs in the link order, so it cannot call the event log
 // directly. Instead it emits through an installable sink function pointer:
 // when no sink is installed (unit tests, tools that never touch obs), Emit
@@ -37,9 +37,8 @@ enum Type : uint16_t {
   kPartitionSplit = 8,    // a1 = partition index, a2 = pieces
   kPrefetchHit = 9,       // a1 = bytes served from cache
   kPrefetchWaste = 10,    // a1 = bytes fetched but never used
-  kArbiterAcquire = 11,   // a1 = lease bytes
-  kArbiterBorrow = 12,    // a1 = extra bytes granted
-  kArbiterWait = 13,      // a1 = requested bytes (emitted when Acquire blocks)
+  // 11-13 are retired (budget-arbiter acquire/borrow/wait); old files may
+  // still hold them, so they are never reused.
   kCheckpointPublish = 14,  // a1 = manifest bytes
   kIoRetry = 15,          // a1 = attempt number, a2 = (const char*) op name
   kFaultInjected = 16,    // a1 = action kind, a2 = (const char*) target name
@@ -53,12 +52,10 @@ enum Type : uint16_t {
 };
 
 // Wait kinds carried in kWaitBegin/kWaitEnd `a1`. Stable binary values:
-// they are written into flightrec.bin and profile.bin records. The arbiter
-// has no kWaitBegin emit of its own — kArbiterWait/kArbiterAcquire already
-// bracket a blocking Acquire, and the profiler maps those onto kArbiter.
+// they are written into flightrec.bin and profile.bin records. 1 is
+// retired (budget-arbiter wait) and never reused.
 enum WaitKind : uint64_t {
   kWaitNone = 0,
-  kWaitArbiter = 1,    // BudgetArbiter::Acquire blocked on budget
   kWaitIoBarrier = 2,  // PartitionStore::Sync() draining the I/O strands
   kWaitIoQueue = 3,    // Load() waiting on a pending prefetch/write
   kWaitSolve = 4,      // simulated out-of-process solve block

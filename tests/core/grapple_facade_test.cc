@@ -128,6 +128,23 @@ TEST(GrappleFacadeTest, SchedulingOptionsValidate) {
   errors = oversubscribed.Validate();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("1024"), std::string::npos);
+
+  // A 0 factor resolves to the hardware count before the rule applies.
+  // Validate() only: constructing a Grapple would start these workers.
+  GrappleOptions zero_times_many;
+  zero_times_many.scheduling.checker_parallelism = 0;
+  zero_times_many.scheduling.num_threads = 5000;
+  errors = zero_times_many.Validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("1024"), std::string::npos);
+
+  // A product that wraps around 2^64 must not read as small.
+  GrappleOptions wrapping;
+  wrapping.scheduling.checker_parallelism = 4;
+  wrapping.scheduling.num_threads = size_t{1} << 62;
+  errors = wrapping.Validate();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("1024"), std::string::npos);
 }
 
 TEST(GrappleFacadeTest, ResultAggregatesAcrossPhases) {

@@ -50,17 +50,18 @@ std::string Fingerprint(const GrappleResult& result) {
   return out;
 }
 
-GrappleResult RunWith(size_t checker_parallelism, uint64_t memory_budget_bytes) {
+GrappleResult RunWith(size_t checker_parallelism, uint64_t memory_budget_bytes,
+                      const std::vector<FsmSpec>& specs = AllBuiltinCheckers()) {
   Workload workload = GenerateWorkload(SchedulerConfig());
   GrappleOptions options;
   options.scheduling.checker_parallelism = checker_parallelism;
   options.engine.memory_budget_bytes = memory_budget_bytes;
   Grapple grapple(std::move(workload.program), options);
-  return grapple.Check(AllBuiltinCheckers());
+  return grapple.Check(specs);
 }
 
 TEST(SchedulerTest, ParallelByteIdenticalToSequential) {
-  // Ample budget: no engine's lease ever binds, so parallel scheduling may
+  // Ample budget: no engine's slice ever binds, so parallel scheduling may
   // not change a single report, witness, or edge count.
   constexpr uint64_t kAmple = uint64_t{64} << 20;
   GrappleResult sequential = RunWith(1, kAmple);
@@ -72,9 +73,10 @@ TEST(SchedulerTest, ParallelByteIdenticalToSequential) {
 }
 
 TEST(SchedulerTest, TightSharedBudgetStillCorrect) {
-  // 256 KB across four concurrent engines: leases bind, engines spill and
-  // borrow. Reports and witnesses must still match the sequential run with
-  // the same total budget (edge counts may differ through widening order).
+  // 256 KB across four concurrent engines: each runs under a fixed 64 KB
+  // slice and spills. Reports and witnesses must still match the sequential
+  // run with the same total budget (edge counts may differ through widening
+  // order).
   constexpr uint64_t kTight = 256 << 10;
   GrappleResult sequential = RunWith(1, kTight);
   GrappleResult parallel = RunWith(4, kTight);
@@ -87,6 +89,41 @@ TEST(SchedulerTest, TightSharedBudgetStillCorrect) {
     par_reports += checker.checker + "\n" + ReportsToJson(checker.reports) + "\n";
   }
   EXPECT_EQ(seq_reports, par_reports);
+}
+
+// The typestate phases' engine_budget_bytes gauges, in spec order.
+std::vector<double> TypestateBudgets(const std::vector<FsmSpec>& specs,
+                                     size_t checker_parallelism, uint64_t memory_budget_bytes) {
+  GrappleResult result = RunWith(checker_parallelism, memory_budget_bytes, specs);
+  std::vector<double> budgets;
+  for (size_t i = 1; i < result.report.phases.size(); ++i) {
+    budgets.push_back(result.report.phases[i].metrics.GaugeOr("engine_budget_bytes", -1));
+  }
+  return budgets;
+}
+
+TEST(SchedulerTest, ConcurrentEnginesGetAFixedSliceOfTheBudget) {
+  // Concurrent engines split the total evenly, so their live budgets never
+  // sum to more than it.
+  constexpr uint64_t kTotal = 256 << 10;
+  std::vector<FsmSpec> specs = AllBuiltinCheckers();
+  ASSERT_EQ(specs.size(), 4u);
+  std::vector<double> four = TypestateBudgets(specs, 4, kTotal);
+  ASSERT_EQ(four.size(), 4u);
+  double sum = 0;
+  for (double budget : four) {
+    EXPECT_EQ(budget, static_cast<double>(kTotal / 4));
+    sum += budget;
+  }
+  EXPECT_LE(sum, static_cast<double>(kTotal));
+
+  // Parallelism is capped by the spec count: two specs split it in two.
+  specs.erase(specs.begin() + 2, specs.end());
+  std::vector<double> two = TypestateBudgets(specs, 4, kTotal);
+  ASSERT_EQ(two.size(), 2u);
+  for (double budget : two) {
+    EXPECT_EQ(budget, static_cast<double>(kTotal / 2));
+  }
 }
 
 TEST(SchedulerTest, ParallelismZeroMeansHardwareConcurrency) {

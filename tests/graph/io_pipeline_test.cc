@@ -14,7 +14,6 @@
 #include "src/graph/partition_codec.h"
 #include "src/graph/partition_store.h"
 #include "src/ir/parser.h"
-#include "src/support/budget_arbiter.h"
 #include "src/support/byte_io.h"
 #include "src/symexec/cfet_builder.h"
 
@@ -207,42 +206,6 @@ TEST(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
   EXPECT_EQ(snap.CounterOr("io_prefetch_wasted_total"), 1u);
   // And the post-append load still sees every edge (write-behind + barrier).
   EXPECT_EQ(store.Load(2).size(), p2_edges + 2);
-}
-
-TEST(IoPipelineTest, PrefetchCacheBorrowsFromBudgetLease) {
-  TempDir dir("iopipe-borrow");
-  obs::MetricsRegistry metrics;
-  BudgetArbiter arbiter(uint64_t{64} << 20);
-  BudgetLease lease = arbiter.Acquire(uint64_t{4} << 20);
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  pipeline.budget_lease = &lease;
-  PartitionStore store(dir.path(), &metrics, pipeline);
-  // ~3 MB of edges in ~1 MB partitions: the cache (lease/4 = 1 MB) cannot
-  // hold two partitions without growing the lease.
-  std::vector<EdgeRecord> base;
-  for (VertexId v = 0; v < 1536; ++v) {
-    EdgeRecord edge = MakeEdge(v, v, 1, 2048);
-    for (size_t i = 0; i < edge.payload.size(); ++i) {
-      edge.payload[i] = static_cast<uint8_t>(v * 31 + i);  // incompressible
-    }
-    base.push_back(std::move(edge));
-  }
-  store.Initialize(base, 1536, uint64_t{1} << 20);
-  ASSERT_GE(store.NumPartitions(), 3u);
-  // Drop any write-back images so every hint must perform a real read.
-  for (size_t p = 0; p < 3; ++p) {
-    store.Append(p, {MakeEdge(store.Info(p).lo, 0, 9)});
-  }
-  uint64_t lease_before = lease.bytes();
-
-  store.Hint({0, 1, 2});
-  store.Sync();
-  obs::MetricsSnapshot snap = metrics.Snapshot();
-  EXPECT_EQ(snap.CounterOr("io_prefetch_issued_total"), 3u);
-  EXPECT_GT(snap.CounterOr("io_cache_budget_borrows_total"), 0u);
-  EXPECT_GT(lease.bytes(), lease_before);
-  lease.Release();
 }
 
 // A chain + extra edges under a tiny budget forces appends, rewrites, and

@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "src/obs/event_log.h"
-#include "src/obs/json.h"
 #include "src/support/byte_io.h"
 #include "src/support/event_hook.h"
+#include "tests/obs/json_parse.h"
 
 namespace grapple {
 namespace obs {
@@ -204,17 +204,17 @@ TEST(EventLogTest, DecodeRejectsCorruptDumps) {
 
 TEST(EventLogTest, DisableIsPauseNotClear) {
   EventLogInstall();
-  evt::Emit(evt::kArbiterWait, kTag | 31);
+  evt::Emit(evt::kPrefetchHit, kTag | 31);
   EventLogSetEnabled(false);
-  evt::Emit(evt::kArbiterWait, kTag | 32);
+  evt::Emit(evt::kPrefetchHit, kTag | 32);
   EventLogSetEnabled(true);
   bool kept = false;
   bool dropped_recorded = false;
   for (const FlightEvent& event : TaggedTail()) {
-    if (event.type == evt::kArbiterWait && event.arg1 == (kTag | 31)) {
+    if (event.type == evt::kPrefetchHit && event.arg1 == (kTag | 31)) {
       kept = true;
     }
-    if (event.type == evt::kArbiterWait && event.arg1 == (kTag | 32)) {
+    if (event.type == evt::kPrefetchHit && event.arg1 == (kTag | 32)) {
       dropped_recorded = true;
     }
   }

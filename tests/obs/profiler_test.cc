@@ -18,11 +18,11 @@
 #include <vector>
 
 #include "src/obs/event_log.h"
-#include "src/obs/json.h"
 #include "src/obs/profiler.h"
 #include "src/support/byte_io.h"
 #include "src/support/event_hook.h"
 #include "src/support/timer.h"
+#include "tests/obs/json_parse.h"
 
 namespace grapple {
 namespace obs {

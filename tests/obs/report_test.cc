@@ -16,6 +16,7 @@
 #include "src/obs/json.h"
 #include "src/obs/report.h"
 #include "src/symexec/cfet_builder.h"
+#include "tests/obs/json_parse.h"
 
 namespace grapple {
 namespace {

@@ -16,8 +16,8 @@
 #include "src/checker/builtin_checkers.h"
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
-#include "src/obs/json.h"
 #include "src/obs/statusz.h"
+#include "tests/obs/json_parse.h"
 
 namespace grapple {
 namespace obs {

@@ -21,7 +21,7 @@
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
-#include "src/obs/json.h"
+#include "tests/obs/json_parse.h"
 
 namespace grapple {
 namespace {
