@@ -536,15 +536,25 @@ int Main() {
     double total = timer.ElapsedSeconds();
     const GrappleResult& r = run.result;
     AddSubject(&bench, preset.name, r);
-    size_t partitions = r.alias.engine.num_partitions;
-    for (const auto& checker : r.checkers) {
-      partitions += checker.typestate.engine.num_partitions;
+    uint64_t vertices = 0;
+    uint64_t edges_before = 0;
+    uint64_t edges_after = 0;
+    size_t partitions = 0;
+    double preprocess = r.report.frontend_seconds;
+    double compute = 0;
+    for (const auto& phase : r.report.phases) {
+      vertices += phase.num_vertices;
+      edges_before += phase.edges_before;
+      edges_after += phase.edges_after;
+      partitions += static_cast<size_t>(phase.metrics.GaugeOr("engine_num_partitions"));
+      preprocess += phase.metrics.SecondsOf("engine_preprocess_ns");
+      compute += phase.metrics.SecondsOf("engine_compute_ns");
     }
     std::printf("%-11s %9.1f %9.1f %10.1f %9s %11s %11s %6zu %9.2f\n", preset.name.c_str(),
-                r.TotalVerticesAllPhases() / 1000.0, r.TotalEdgesBefore() / 1000.0,
-                r.TotalEdgesAfter() / 1000.0, FormatDuration(r.PreprocessSeconds()).c_str(),
-                FormatDuration(r.ComputeSeconds()).c_str(), FormatDuration(total).c_str(),
-                partitions, SumCounter(r, "provenance_bytes") / (1024.0 * 1024.0));
+                vertices / 1000.0, edges_before / 1000.0, edges_after / 1000.0,
+                FormatDuration(preprocess).c_str(), FormatDuration(compute).c_str(),
+                FormatDuration(total).c_str(), partitions,
+                SumCounter(r, "provenance_bytes") / (1024.0 * 1024.0));
   }
   std::printf("\npaper shape check: hadoop < zookeeper < hdfs << hbase in total time;\n");
   std::printf("edge count grows substantially during computation (#EA >> #EB).\n");

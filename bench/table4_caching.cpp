@@ -22,14 +22,12 @@ struct CacheRunStats {
 
 CacheRunStats StatsOf(const GrappleResult& result) {
   CacheRunStats stats;
-  auto add = [&](const EngineStats& engine) {
-    stats.lookups += engine.oracle.cache_hits + engine.oracle.constraints_checked;
-    stats.hits += engine.oracle.cache_hits;
-    stats.constraint_seconds += engine.oracle.lookup_seconds + engine.oracle.solve_seconds;
-  };
-  add(result.alias.engine);
-  for (const auto& checker : result.checkers) {
-    add(checker.typestate.engine);
+  for (const auto& phase : result.report.phases) {
+    const obs::MetricsSnapshot& m = phase.metrics;
+    uint64_t hits = m.CounterOr("oracle_cache_hits_total");
+    stats.lookups += hits + m.CounterOr("oracle_constraints_checked_total");
+    stats.hits += hits;
+    stats.constraint_seconds += m.SecondsOf("oracle_lookup_ns") + m.SecondsOf("oracle_solve_ns");
   }
   return stats;
 }

@@ -62,12 +62,12 @@ PhaseRun RunAliasPhase(const Program& input, bool explicit_codec, uint64_t budge
   AliasGraph alias_graph(program, call_graph, icfet, labels, &engine);
   engine.Finalize(alias_graph.num_vertices());
   engine.Run();
-  out.partitions = engine.stats().peak_partitions;
-  out.iterations = engine.stats().pair_loads;
-  out.constraints = engine.stats().oracle.constraints_checked;
-  out.timed_out = engine.stats().timed_out;
   out.seconds = timer.ElapsedSeconds();
-  out.metrics = engine.stats().metrics;
+  out.metrics = engine.Metrics();
+  out.partitions = static_cast<size_t>(out.metrics.GaugeOr("engine_peak_partitions"));
+  out.iterations = out.metrics.CounterOr("engine_pair_loads_total");
+  out.constraints = out.metrics.CounterOr("oracle_constraints_checked_total");
+  out.timed_out = out.metrics.GaugeOr("engine_timed_out") > 0;
   return out;
 }
 

@@ -187,13 +187,14 @@ int main(int argc, char** argv) {
     std::printf("%s\n", grapple::ReportsToJson(all_reports).c_str());
   }
   std::fprintf(chatter, "%zu warning(s) in %.3fs (alias pairs: %zu)\n", total,
-               result.total_seconds, result.alias_pairs);
+               result.report.total_seconds, result.alias_pairs);
   if (print_stats) {
-    std::fprintf(chatter, "\n-- alias phase --\n%s", result.alias.engine.ToString().c_str());
+    std::fprintf(chatter, "\n-- alias phase --\n%s",
+                 grapple::obs::RenderEngineSummary(result.report.phases.front().metrics).c_str());
     for (const auto& checker : result.checkers) {
       std::fprintf(chatter, "-- typestate: %s (%zu tracked objects) --\n%s",
                    checker.checker.c_str(), checker.tracked_objects,
-                   checker.typestate.engine.ToString().c_str());
+                   grapple::obs::RenderEngineSummary(checker.phase.metrics).c_str());
     }
   }
   // Degradation (an undecodable witness, a checker isolated after an I/O

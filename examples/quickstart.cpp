@@ -52,7 +52,7 @@ int main() {
   grapple::Grapple analyzer(std::move(parsed.program));
   grapple::GrappleResult result = analyzer.Check(grapple::AllBuiltinCheckers());
 
-  std::printf("analyzed in %.3fs: %zu warning(s)\n", result.total_seconds,
+  std::printf("analyzed in %.3fs: %zu warning(s)\n", result.report.total_seconds,
               result.TotalReports());
   for (const auto& checker : result.checkers) {
     for (const auto& report : checker.reports) {

@@ -24,6 +24,7 @@
 #include "src/cfg/call_graph.h"
 #include "src/graph/engine.h"
 #include "src/ir/parser.h"
+#include "src/obs/report.h"
 #include "src/symexec/cfet_builder.h"
 
 int main(int argc, char** argv) {
@@ -105,6 +106,6 @@ int main(int argc, char** argv) {
   engine.ForEachEdge([&](const grapple::EdgeRecord& edge) {
     std::printf("%u %u %s\n", edge.src, edge.dst, grammar.NameOf(edge.label).c_str());
   });
-  std::fprintf(stderr, "%s", engine.stats().ToString().c_str());
+  std::fprintf(stderr, "%s", grapple::obs::RenderEngineSummary(engine.Metrics()).c_str());
   return 0;
 }

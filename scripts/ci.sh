@@ -83,9 +83,12 @@ run_bench_smoke() {
   echo "==> [bench] smoke sweep (GRAPPLE_SCALE=${GRAPPLE_SCALE:-0.1})"
   GRAPPLE_SCALE="${GRAPPLE_SCALE:-0.1}" "${repo_root}/scripts/bench.sh" "${build_dir}" "${out_dir}"
   echo "==> [bench] perf-regression gate"
+  # The gate's verdict is recorded, not acted on yet: the self-test and the
+  # sample witness below run either way, and the mode exits with it last.
+  local gate_status=0
   python3 "${repo_root}/scripts/check_bench.py" \
     --baseline "${repo_root}/bench/BENCH_baseline.json" \
-    "${out_dir}/BENCH_trajectory.json"
+    "${out_dir}/BENCH_trajectory.json" || gate_status=$?
   # The gate must actually gate: an injected 2x regression has to fail,
   # over the whole watch list and over the src_lines gauge alone.
   local only
@@ -106,6 +109,10 @@ run_bench_smoke() {
   test -s "${out_dir}/sample_witness_report.json"
   grep -q '"witness"' "${out_dir}/sample_witness_report.json"
   echo "==> [bench] reports in ${out_dir}"
+  if [[ "${gate_status}" -ne 0 ]]; then
+    echo "==> [bench] perf-regression gate FAILED (exit ${gate_status})" >&2
+    return "${gate_status}"
+  fi
 }
 
 # One run of the example front door with checkpointing at every pair.

@@ -67,6 +67,20 @@ EngineOptions EngineOptionsFrom(const GrappleOptions& options, TaskRuntime* runt
   return engine_options;
 }
 
+// The record of one finished engine run; edge counts come from its
+// snapshot.
+obs::PhaseReport PhaseReportOf(std::string name, uint64_t num_vertices, const GraphEngine& engine,
+                               double seconds) {
+  obs::PhaseReport phase;
+  phase.name = std::move(name);
+  phase.num_vertices = num_vertices;
+  phase.seconds = seconds;
+  phase.metrics = engine.Metrics();
+  phase.edges_before = phase.metrics.CounterOr("engine_base_edges_total");
+  phase.edges_after = phase.metrics.CounterOr("engine_final_edges_total");
+  return phase;
+}
+
 }  // namespace
 
 std::vector<std::string> GrappleOptions::Validate() const {
@@ -196,46 +210,6 @@ size_t GrappleResult::TotalReports() const {
   return total;
 }
 
-uint64_t GrappleResult::TotalVerticesAllPhases() const {
-  uint64_t total = alias.num_vertices;
-  for (const auto& checker : checkers) {
-    total += checker.typestate.num_vertices;
-  }
-  return total;
-}
-
-uint64_t GrappleResult::TotalEdgesBefore() const {
-  uint64_t total = alias.edges_before;
-  for (const auto& checker : checkers) {
-    total += checker.typestate.edges_before;
-  }
-  return total;
-}
-
-uint64_t GrappleResult::TotalEdgesAfter() const {
-  uint64_t total = alias.edges_after;
-  for (const auto& checker : checkers) {
-    total += checker.typestate.edges_after;
-  }
-  return total;
-}
-
-double GrappleResult::PreprocessSeconds() const {
-  double total = frontend_seconds + alias.engine.preprocess_seconds;
-  for (const auto& checker : checkers) {
-    total += checker.typestate.engine.preprocess_seconds;
-  }
-  return total;
-}
-
-double GrappleResult::ComputeSeconds() const {
-  double total = alias.engine.compute_seconds;
-  for (const auto& checker : checkers) {
-    total += checker.typestate.engine.compute_seconds;
-  }
-  return total;
-}
-
 // Everything phase 1 produces that later phases read. Owned by the session;
 // after EnsureAliasPhase returns, all of it is immutable and safe for
 // concurrent reads by checker workers.
@@ -246,7 +220,6 @@ struct Grapple::AliasPhase {
   std::unique_ptr<GraphEngine> engine;
   std::unique_ptr<AliasGraph> graph;
   std::unique_ptr<AliasIndex> index;
-  PhaseStats stats;
   obs::PhaseReport report;
   size_t pairs = 0;
 };
@@ -420,17 +393,8 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
                                                alias->engine.get());
     alias->engine->Finalize(alias->graph->num_vertices());
     alias->engine->Run();
-    alias->stats.num_vertices = alias->graph->num_vertices();
-    alias->stats.edges_before = alias->engine->stats().base_edges;
-    alias->stats.edges_after = alias->engine->stats().final_edges;
-    alias->stats.engine = alias->engine->stats();
-    alias->stats.seconds = alias_timer.ElapsedSeconds();
-    alias->report.name = "alias";
-    alias->report.num_vertices = alias->graph->num_vertices();
-    alias->report.edges_before = alias->stats.edges_before;
-    alias->report.edges_after = alias->stats.edges_after;
-    alias->report.seconds = alias->stats.seconds;
-    alias->report.metrics = alias->engine->stats().metrics;
+    alias->report = PhaseReportOf("alias", alias->graph->num_vertices(), *alias->engine,
+                                  alias_timer.ElapsedSeconds());
 
     // Harvest aliasing facts for every event receiver once.
     std::unordered_set<VertexId> receivers;
@@ -449,11 +413,10 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
 
 CheckerRunResult Grapple::CheckOne(const FsmSpec& spec) {
   EnsureAliasPhase();
-  return CheckOne(spec, options_.engine.memory_budget_bytes, nullptr);
+  return CheckOne(spec, options_.engine.memory_budget_bytes);
 }
 
-CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, uint64_t memory_budget_bytes,
-                                   obs::PhaseReport* phase_out) {
+CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, uint64_t memory_budget_bytes) {
   const AliasPhase& alias = *alias_phase_;
   WallTimer checker_timer;
   CheckerRunResult checker_result;
@@ -493,22 +456,10 @@ CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, uint64_t memory_budget_b
   checker_result.reports = ExtractReports(spec.fsm.name(), completed, ts_labels, ts_graph,
                                           *alias.graph, &ts_engine, &ts_oracle,
                                           options_.observability.witness);
-  checker_result.typestate.num_vertices = ts_graph.num_vertices();
-  checker_result.typestate.edges_before = ts_engine.stats().base_edges;
-  checker_result.typestate.edges_after = ts_engine.stats().final_edges;
-  checker_result.typestate.engine = ts_engine.stats();
-  checker_result.typestate.seconds = checker_timer.ElapsedSeconds();
-
-  if (phase_out != nullptr) {
-    phase_out->name = "typestate:" + spec.fsm.name();
-    phase_out->num_vertices = ts_graph.num_vertices();
-    phase_out->edges_before = checker_result.typestate.edges_before;
-    phase_out->edges_after = checker_result.typestate.edges_after;
-    phase_out->seconds = checker_result.typestate.seconds;
-    // Re-snapshot after report extraction so the witness decoding it did
-    // (witnesses_decoded_total) is included.
-    phase_out->metrics = ts_engine.Metrics();
-  }
+  // Snapshot after report extraction so the witness decoding it did
+  // (witnesses_decoded_total) is counted.
+  checker_result.phase = PhaseReportOf("typestate:" + spec.fsm.name(), ts_graph.num_vertices(),
+                                       ts_engine, checker_timer.ElapsedSeconds());
   evt::Emit(evt::kCheckerDone, name_id, checker_result.reports.size());
   {
     std::lock_guard<std::mutex> lock(live_mu_);
@@ -522,8 +473,6 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
   WallTimer total_timer;
   const AliasPhase& alias = EnsureAliasPhase();
   GrappleResult result;
-  result.frontend_seconds = frontend_seconds_;
-  result.alias = alias.stats;
   result.alias_pairs = alias.pairs;
   result.report.phases.push_back(alias.report);
 
@@ -532,7 +481,6 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
   // spec order, so the result (checker order, report phases) is identical
   // to the sequential run regardless of completion order.
   std::vector<CheckerRunResult> runs(specs.size());
-  std::vector<obs::PhaseReport> phases(specs.size());
   // Failure isolation: one checker's engine dying on an I/O error (disk
   // full, corrupt partition, failed checkpoint) becomes a degraded result
   // slot, not the end of the whole multi-checker run. Checker tasks must
@@ -541,14 +489,13 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
   // policy is applied after the barrier.
   auto run_isolated = [&](size_t i, uint64_t budget_bytes) {
     try {
-      runs[i] = CheckOne(specs[i], budget_bytes, &phases[i]);
+      runs[i] = CheckOne(specs[i], budget_bytes);
     } catch (const std::exception& e) {
       runs[i] = CheckerRunResult();
       runs[i].checker = specs[i].fsm.name();
       runs[i].degraded = true;
       runs[i].degraded_reason = e.what();
-      phases[i] = obs::PhaseReport();
-      phases[i].name = "typestate:" + specs[i].fsm.name();
+      runs[i].phase.name = "typestate:" + specs[i].fsm.name();
       evt::Emit(evt::kCheckerDegraded, obs::EventLogInternString(runs[i].checker));
       {
         std::lock_guard<std::mutex> lock(live_mu_);
@@ -566,7 +513,7 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
       if (options_.robustness.isolate_checker_failures) {
         run_isolated(i, total_budget);
       } else {
-        runs[i] = CheckOne(specs[i], total_budget, &phases[i]);
+        runs[i] = CheckOne(specs[i], total_budget);
       }
     }
   } else {
@@ -599,14 +546,13 @@ GrappleResult Grapple::Check(const std::vector<FsmSpec>& specs) {
       }
     }
   }
-  for (size_t i = 0; i < specs.size(); ++i) {
-    result.checkers.push_back(std::move(runs[i]));
-    result.report.phases.push_back(std::move(phases[i]));
+  for (CheckerRunResult& run : runs) {
+    result.report.phases.push_back(run.phase);
+    result.checkers.push_back(std::move(run));
   }
 
-  result.total_seconds = total_timer.ElapsedSeconds() + frontend_seconds_;
   result.report.frontend_seconds = frontend_seconds_;
-  result.report.total_seconds = result.total_seconds;
+  result.report.total_seconds = total_timer.ElapsedSeconds() + frontend_seconds_;
   result.report.total_reports = result.TotalReports();
 
   // Persist the cost ledger after every Check() so the profile is readable

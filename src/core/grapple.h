@@ -233,46 +233,32 @@ inline constexpr uint32_t kDefaultCheckpointInterval = 8;
 // knobs (ServiceOptions::FromEnv).
 void ApplyEnvOverrides(GrappleOptions* options);
 
-// Statistics of one engine run plus its graph generation.
-struct PhaseStats {
-  uint64_t num_vertices = 0;
-  uint64_t edges_before = 0;  // base edges (after unary/mirror expansion)
-  uint64_t edges_after = 0;   // final edges at fixpoint
-  EngineStats engine;
-  double seconds = 0;
-};
-
 struct CheckerRunResult {
   std::string checker;
   size_t tracked_objects = 0;
   std::vector<BugReport> reports;
-  PhaseStats typestate;
+  // The checker's engine run ("typestate:<checker>"): graph sizes, wall
+  // time, and the metrics snapshot taken after report extraction, so it
+  // counts the witness decodes too.
+  obs::PhaseReport phase;
   // Robustness degradation (GrappleOptions::Robustness
   // isolate_checker_failures): this checker's engine run failed with the
-  // recorded reason; `reports` and `typestate` are empty, the other
-  // checkers' results are unaffected.
+  // recorded reason; `reports` is empty and `phase` carries only its name;
+  // the other checkers' results are unaffected.
   bool degraded = false;
   std::string degraded_reason;
 };
 
 struct GrappleResult {
-  double frontend_seconds = 0;  // IR prep + ICFET construction
-  PhaseStats alias;
   size_t alias_pairs = 0;  // flowsTo facts held for phase-2 queries
   std::vector<CheckerRunResult> checkers;
-  double total_seconds = 0;
-  // Machine-readable record of the run: one obs::PhaseReport per engine run
-  // ("alias", "typestate:<checker>") with the full metrics snapshot each.
-  // analyze_file writes it to the path in GRAPPLE_METRICS.
+  // The one record of the run: frontend and total seconds, and one
+  // obs::PhaseReport per engine run ("alias" first, then each checker's
+  // `phase` in spec order). analyze_file writes it to the path in
+  // GRAPPLE_METRICS.
   obs::RunReport report;
 
   size_t TotalReports() const;
-  // Aggregates for Table-3 style reporting.
-  uint64_t TotalVerticesAllPhases() const;
-  uint64_t TotalEdgesBefore() const;
-  uint64_t TotalEdgesAfter() const;
-  double PreprocessSeconds() const;
-  double ComputeSeconds() const;
 };
 
 class Grapple {
@@ -291,6 +277,8 @@ class Grapple {
   // scheduling.checker_parallelism > 1, each concurrent engine then running
   // under an equal fixed slice of the memory budget.
   // Reports, witnesses, and phase ordering are identical either way.
+  // result.report.phases is the alias phase's record followed by each
+  // checker's CheckerRunResult::phase, in spec order.
   // May be called repeatedly. A checker whose engine run fails with an I/O
   // error yields a degraded result slot (see CheckerRunResult) unless
   // Robustness::isolate_checker_failures is off, in which case the IoError
@@ -299,7 +287,8 @@ class Grapple {
 
   // Runs phases 2-3 for a single spec against the cached alias analysis
   // (computing it first if this is the session's first use). This is the
-  // same code path the concurrent scheduler runs per worker; it is safe to
+  // same code path the concurrent scheduler runs per worker, and its
+  // `phase` is the record Check() would put in report.phases; it is safe to
   // call from multiple threads.
   CheckerRunResult CheckOne(const FsmSpec& spec);
 
@@ -310,7 +299,6 @@ class Grapple {
   const std::string& work_dir() const { return work_dir_; }
   const Icfet& icfet() const { return icfet_; }
   const CallGraph& call_graph() const { return *call_graph_; }
-  double frontend_seconds() const { return frontend_seconds_; }
 
   // Snapshot of the session scheduler's counters (tasks/busy time per lane,
   // steals, affinity hits, inline helps). The source for the bench-gated
@@ -324,10 +312,8 @@ class Grapple {
 
   const AliasPhase& EnsureAliasPhase();
   // Phases 2-3 for one spec. `memory_budget_bytes` is the engine's budget
-  // (its slice of the total when checkers run concurrently); `phase_out`
-  // (may be null) receives the obs::PhaseReport for result aggregation.
-  CheckerRunResult CheckOne(const FsmSpec& spec, uint64_t memory_budget_bytes,
-                            obs::PhaseReport* phase_out);
+  // (its slice of the total when checkers run concurrently).
+  CheckerRunResult CheckOne(const FsmSpec& spec, uint64_t memory_budget_bytes);
 
   std::string PhaseDir(const std::string& name);
   // Work subdirectory for one checker run: "typestate-<name>" on the

@@ -15,14 +15,9 @@ namespace {
 // only; magic/version corruption is caught by their own strict checks.
 constexpr char kMagic[8] = {'G', 'R', 'P', 'L', 'C', 'K', 'P', 'T'};
 
-uint64_t Fnv1a(const uint8_t* data, size_t size) {
-  uint64_t hash = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
+// The manifest checksum starts from this basis (one digit short of the
+// standard FNV offset) in every published manifest; kept so they verify.
+constexpr uint64_t kChecksumBasis = 1469598103934665603ULL;
 
 void PutString(std::vector<uint8_t>* out, const std::string& s) {
   PutVarint64(out, s.size());
@@ -110,7 +105,7 @@ void EncodeCheckpointManifest(const CheckpointManifest& manifest, std::vector<ui
   PutFixed32(out, kCheckpointFormatVersion);
   PutFixed64(out, payload.size());
   out->insert(out->end(), payload.begin(), payload.end());
-  PutFixed64(out, Fnv1a(payload.data(), payload.size()));
+  PutFixed64(out, Fnv1a64(payload.data(), payload.size(), kChecksumBasis));
 }
 
 bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManifest* manifest,
@@ -129,7 +124,9 @@ bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManif
                            ", this binary expects v" + std::to_string(kCheckpointFormatVersion));
   }
   uint64_t payload_len = header.GetFixed64();
-  if (!header.ok() || payload_len + 8 != header.remaining()) {
+  // Compared without overflow: a length near 2^64 must not wrap past the
+  // check and send the checksum read out of bounds.
+  if (!header.ok() || header.remaining() < 8 || payload_len != header.remaining() - 8) {
     return Fail(error, "payload length mismatch (truncated or trailing garbage)");
   }
   const uint8_t* payload = bytes.data() + header.position();
@@ -138,7 +135,7 @@ bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManif
         ByteReader tail(payload + payload_len, 8);
         return tail.GetFixed64();
       }();
-  uint64_t computed = Fnv1a(payload, static_cast<size_t>(payload_len));
+  uint64_t computed = Fnv1a64(payload, static_cast<size_t>(payload_len), kChecksumBasis);
   if (stored_checksum != computed) {
     return Fail(error, "checksum mismatch");
   }

@@ -181,19 +181,6 @@ SolveResult ConstraintOracle::Check(Shard* shard, const PathEncoding& full) {
   return result;
 }
 
-OracleStats ConstraintOracle::Stats() const {
-  obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  OracleStats stats;
-  stats.merges = snapshot.CounterOr("oracle_merges_total");
-  stats.constraints_checked = snapshot.CounterOr("oracle_constraints_checked_total");
-  stats.cache_hits = snapshot.CounterOr("oracle_cache_hits_total");
-  stats.unsat = snapshot.CounterOr("oracle_unsat_total");
-  stats.unknown = snapshot.CounterOr("oracle_unknown_total");
-  stats.lookup_seconds = snapshot.SecondsOf("oracle_lookup_ns");
-  stats.solve_seconds = snapshot.SecondsOf("oracle_solve_ns");
-  return stats;
-}
-
 IntervalOracle::IntervalOracle(const Icfet* icfet) : IntervalOracle(icfet, Options()) {}
 
 IntervalOracle::IntervalOracle(const Icfet* icfet, Options options)

@@ -35,16 +35,6 @@
 
 namespace grapple {
 
-struct OracleStats {
-  uint64_t merges = 0;
-  uint64_t constraints_checked = 0;  // distinct pairs merged+decoded+solved
-  uint64_t cache_hits = 0;           // merges answered by an earlier merge
-  uint64_t unsat = 0;                // checked pairs that solved unsat
-  uint64_t unknown = 0;
-  double lookup_seconds = 0;  // merge, decode and compaction on the miss path
-  double solve_seconds = 0;   // SMT time
-};
-
 class ConstraintOracle {
  public:
   struct Options {
@@ -101,8 +91,6 @@ class ConstraintOracle {
   // One merge outside any round: kUnsat or the merged payload's id.
   uint32_t MergeAndCheck(uint32_t a, uint32_t b);
 
-  OracleStats Stats() const;
-  void ResetStats() { metrics_.Reset(); }
   // The oracle_* counters ("oracle_merges_total", "oracle_lookup_ns", ...)
   // and the solve-time histogram.
   obs::MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }

@@ -517,42 +517,6 @@ struct GraphEngineIndexHolder {
 
 GraphEngine::~GraphEngine() = default;
 
-void EngineStats::SyncFromMetrics() {
-  base_edges = metrics.CounterOr("engine_base_edges_total");
-  final_edges = metrics.CounterOr("engine_final_edges_total");
-  pair_loads = metrics.CounterOr("engine_pair_loads_total");
-  join_rounds = metrics.CounterOr("engine_join_rounds_total");
-  joins_attempted = metrics.CounterOr("engine_joins_attempted_total");
-  edges_added = metrics.CounterOr("engine_edges_added_total");
-  unsat_pruned = metrics.CounterOr("engine_unsat_pruned_total");
-  widened_triples = metrics.CounterOr("engine_widened_triples_total");
-  partition_splits = metrics.CounterOr("engine_partition_splits_total");
-  timed_out = metrics.GaugeOr("engine_timed_out") > 0;
-  num_partitions = static_cast<size_t>(metrics.GaugeOr("engine_num_partitions"));
-  peak_partitions = static_cast<size_t>(metrics.GaugeOr("engine_peak_partitions"));
-  preprocess_seconds = metrics.SecondsOf("engine_preprocess_ns");
-  compute_seconds = metrics.SecondsOf("engine_compute_ns");
-  oracle.merges = metrics.CounterOr("oracle_merges_total");
-  oracle.constraints_checked = metrics.CounterOr("oracle_constraints_checked_total");
-  oracle.cache_hits = metrics.CounterOr("oracle_cache_hits_total");
-  oracle.unsat = metrics.CounterOr("oracle_unsat_total");
-  oracle.unknown = metrics.CounterOr("oracle_unknown_total");
-  oracle.lookup_seconds = metrics.SecondsOf("oracle_lookup_ns");
-  oracle.solve_seconds = metrics.SecondsOf("oracle_solve_ns");
-  phase_seconds.clear();
-  const std::string prefix = obs::kPhaseNsPrefix;
-  const std::string suffix = obs::kPhaseNsSuffix;
-  for (const auto& [name, nanos] : metrics.counters) {
-    if (name.size() > prefix.size() + suffix.size() && name.compare(0, prefix.size(), prefix) == 0 &&
-        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-      std::string phase = name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-      phase_seconds[phase] = static_cast<double>(nanos) / 1e9;
-    }
-  }
-}
-
-std::string EngineStats::ToString() const { return obs::RenderEngineSummary(metrics); }
-
 void GraphEngine::Finalize(VertexId num_vertices) {
   GRAPPLE_CHECK(!finalized_);
   finalized_ = true;
@@ -577,9 +541,6 @@ void GraphEngine::Finalize(VertexId num_vertices) {
       pending_base_.clear();
       pending_base_.shrink_to_fit();
       metrics_.AddNanos(c_preprocess_ns_, timer.ElapsedNanos());
-      stats_.preprocess_seconds = timer.ElapsedSeconds();
-      stats_.num_partitions = store_.NumPartitions();
-      stats_.peak_partitions = store_.NumPartitions();
       metrics_.SetGauge("engine_num_partitions", static_cast<double>(store_.NumPartitions()));
       metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
       fault::CrashPoint("finalize_done");
@@ -629,13 +590,10 @@ void GraphEngine::Finalize(VertexId num_vertices) {
   }
   pending_base_.clear();
   pending_base_.shrink_to_fit();
-  stats_.base_edges = expanded.size();
+  base_edges_ = expanded.size();
   metrics_.Add(c_base_edges_, expanded.size());
   store_.Initialize(std::move(expanded), num_vertices, options_.memory_budget_bytes / 4);
   metrics_.AddNanos(c_preprocess_ns_, timer.ElapsedNanos());
-  stats_.preprocess_seconds = timer.ElapsedSeconds();
-  stats_.num_partitions = store_.NumPartitions();
-  stats_.peak_partitions = store_.NumPartitions();
   metrics_.SetGauge("engine_num_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
   fault::CrashPoint("finalize_done");
@@ -702,7 +660,7 @@ bool GraphEngine::TryResume(VertexId num_vertices) {
   for (const CheckpointManifest::PairDone& pd : manifest.pair_done) {
     pair_done_[{static_cast<size_t>(pd.i), static_cast<size_t>(pd.j)}] = {pd.vi, pd.vj};
   }
-  stats_.base_edges = manifest.base_edges;
+  base_edges_ = manifest.base_edges;
   metrics_.Add(c_base_edges_, manifest.base_edges);
   metrics_.Add(c_runs_resumed_);
   GRAPPLE_LOG(INFO) << "resumed from checkpoint in " << options_.work_dir << " ("
@@ -724,7 +682,7 @@ void GraphEngine::WriteCheckpoint() {
   CheckpointManifest manifest;
   manifest.num_vertices = store_.num_vertices();
   manifest.base_fingerprint = base_fingerprint_;
-  manifest.base_edges = stats_.base_edges;
+  manifest.base_edges = base_edges_;
   manifest.file_counter = store_.file_counter();
   manifest.partitions = store_.SnapshotForCheckpoint();
   manifest.pair_done.reserve(pair_done_.size());
@@ -831,10 +789,6 @@ void GraphEngine::Run() {
   metrics_.SetGauge("engine_num_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
   metrics_.SetGauge("engine_timed_out", timed_out ? 1.0 : 0.0);
-  // The registry (merged with the oracle's) is the source of truth; the
-  // legacy named fields become a view over it.
-  stats_.metrics = Metrics();
-  stats_.SyncFromMetrics();
 }
 
 bool GraphEngine::PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* next_j) const {

@@ -62,7 +62,7 @@ struct EngineOptions {
   // and bounds path-variant blow-up (engineering addition; see DESIGN.md).
   size_t max_variants_per_triple = 8;
   // Wall-clock cap for Run(); 0 disables. Exceeding it stops the fixpoint
-  // early with stats().timed_out set (used by the Table-5 baseline, whose
+  // early with the engine_timed_out gauge set to 1 (used by the Table-5 baseline, whose
   // string-style codec may not terminate in reasonable time).
   double max_seconds = 0;
   // Record a derivation-provenance record for every unique edge (base,
@@ -84,40 +84,6 @@ struct EngineOptions {
   // re-encoding manifests. Completion manifests are never throttled. 0 =
   // checkpoint on every interval hit.
   double checkpoint_min_spacing_seconds = 1.0;
-};
-
-// Engine run statistics. The metrics registry is the source of truth; the
-// named fields are a convenience view populated from the merged snapshot
-// when the engine finishes (plus mid-ingestion by Finalize), kept for
-// existing call sites. `metrics` carries the full snapshot — engine and
-// oracle counters, phase timers as "phase_<name>_ns", histograms.
-struct EngineStats {
-  uint64_t base_edges = 0;
-  uint64_t final_edges = 0;
-  uint64_t pair_loads = 0;  // "computational iterations" in Table 5 terms
-  uint64_t join_rounds = 0;
-  uint64_t joins_attempted = 0;
-  uint64_t edges_added = 0;
-  uint64_t unsat_pruned = 0;
-  uint64_t widened_triples = 0;
-  uint64_t partition_splits = 0;
-  bool timed_out = false;
-  size_t num_partitions = 0;
-  size_t peak_partitions = 0;
-  double preprocess_seconds = 0;
-  double compute_seconds = 0;
-  OracleStats oracle;
-  // "io" / "lookup" / "solve" / "join" buckets (Figure 9).
-  std::map<std::string, double> phase_seconds;
-  // Full merged snapshot (engine registry + oracle).
-  obs::MetricsSnapshot metrics;
-
-  // Rebuilds the named fields from `metrics` (counter names as in
-  // obs::RenderEngineSummary).
-  void SyncFromMetrics();
-
-  // Multi-line human-readable summary (renders from `metrics`).
-  std::string ToString() const;
 };
 
 // Receives base edges from graph generators. GraphEngine is the production
@@ -171,7 +137,6 @@ class GraphEngine : public EdgeSink {
   void ForEachEdge(const std::function<void(const EdgeRecord&)>& fn);
   void ForEachEdgeWithLabel(Label label, const std::function<void(const EdgeRecord&)>& fn);
 
-  const EngineStats& stats() const { return stats_; }
   size_t NumPartitions() const { return store_.NumPartitions(); }
 
   // Derivation provenance (when EngineOptions.record_provenance). The log
@@ -269,7 +234,9 @@ class GraphEngine : public EdgeSink {
   size_t join_shards_;
   PartitionStore store_;
   std::unique_ptr<obs::ProvenanceWriter> provenance_;
-  EngineStats stats_;
+  // Base edges after closure expansion (or restored from a manifest); the
+  // checkpoint manifest pins it.
+  uint64_t base_edges_ = 0;
 
   std::vector<EdgeRecord> pending_base_;
   // Id of the always-true payload (widening) in the oracle's payload table.

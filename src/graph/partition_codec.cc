@@ -5,19 +5,13 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "src/support/byte_io.h"
+
 namespace grapple {
 
 namespace {
 
 constexpr char kBlockMagic[4] = {'G', 'R', 'P', 'B'};
-
-uint64_t Fnv1aBytes(const uint8_t* data, size_t len) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h = (h ^ data[i]) * 0x100000001b3ULL;
-  }
-  return h;
-}
 
 size_t VarintLen(uint64_t value) {
   size_t len = 1;
@@ -47,7 +41,7 @@ struct SpanRef {
 };
 struct SpanHash {
   size_t operator()(const SpanRef& s) const {
-    return static_cast<size_t>(Fnv1aBytes(s.data, s.len));
+    return static_cast<size_t>(Fnv1a64(s.data, s.len));
   }
 };
 struct SpanEq {
@@ -115,7 +109,7 @@ PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<ui
     size_t body_offset = reader.position();
     reader.Skip(body_len);
     uint64_t stored_sum = reader.GetFixed64();
-    uint64_t actual_sum = Fnv1aBytes(body, body_len);
+    uint64_t actual_sum = Fnv1a64(body, body_len);
     if (stored_sum != actual_sum) {
       char expected[24];
       char actual[24];
@@ -260,7 +254,7 @@ void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>*
   PutVarint64(out, table.size());
   PutVarint64(out, body.size());
   out->insert(out->end(), body.begin(), body.end());
-  PutFixed64(out, Fnv1aBytes(body.data(), body.size()));
+  PutFixed64(out, Fnv1a64(body.data(), body.size()));
 }
 
 PartitionDecodeStatus DecodePartitionBytes(const std::string& path,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -294,33 +295,9 @@ void InstallFatalHandler(int sig) {
   sigaction(sig, &sa, nullptr);
 }
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t TakeU32(const uint8_t* data) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
-
-uint64_t TakeU64(const uint8_t* data) {
-  uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
+// Bytes per encoded event: ts_ns(8) | type,tid(4) | arg0(4) | arg1(8) |
+// arg2(8).
+constexpr uint64_t kEventBytes = 32;
 
 }  // namespace
 
@@ -425,33 +402,34 @@ bool EventLogFlush(const std::string& path) {
     std::lock_guard<std::mutex> lock(state.mu);
     strings = state.strings;
   }
-  std::string blob;
-  blob.reserve(24 + events.size() * sizeof(FlightEvent));
-  blob.append(kMagic, sizeof(kMagic));
-  AppendU32(&blob, kFormatVersion);
-  AppendU64(&blob, events.size());
+  std::vector<uint8_t> blob(std::begin(kMagic), std::end(kMagic));
+  blob.reserve(24 + events.size() * kEventBytes);
+  PutFixed32(&blob, kFormatVersion);
+  PutFixed64(&blob, events.size());
   for (const FlightEvent& event : events) {
-    AppendU64(&blob, event.ts_ns);
-    AppendU32(&blob, static_cast<uint32_t>(event.type) |
-                         (static_cast<uint32_t>(event.tid) << 16));
-    AppendU32(&blob, event.arg0);
-    AppendU64(&blob, event.arg1);
-    AppendU64(&blob, event.arg2);
+    PutFixed64(&blob, event.ts_ns);
+    PutFixed32(&blob, static_cast<uint32_t>(event.type) |
+                          (static_cast<uint32_t>(event.tid) << 16));
+    PutFixed32(&blob, event.arg0);
+    PutFixed64(&blob, event.arg1);
+    PutFixed64(&blob, event.arg2);
   }
-  AppendU32(&blob, static_cast<uint32_t>(strings.size()));
+  PutFixed32(&blob, static_cast<uint32_t>(strings.size()));
   for (const std::string& s : strings) {
-    AppendU32(&blob, static_cast<uint32_t>(s.size()));
-    blob.append(s);
+    PutFixed32(&blob, static_cast<uint32_t>(s.size()));
+    blob.insert(blob.end(), s.begin(), s.end());
   }
-  // Raw syscalls on purpose: this runs on crash paths where the byte_io
-  // layer (and its fault shim) must not be re-entered.
+  return CrashSafeWriteFile(path, blob);
+}
+
+bool CrashSafeWriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
     return false;
   }
   size_t done = 0;
-  while (done < blob.size()) {
-    ssize_t n = ::write(fd, blob.data() + done, blob.size() - done);
+  while (done < bytes.size()) {
+    ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
@@ -478,51 +456,49 @@ bool DecodeFlightRecording(const std::string& path, FlightRecording* out, std::s
   if (!ReadFileBytes(path, &bytes, &io_error)) {
     return fail(io_error);
   }
-  if (bytes.size() < 16 || std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  ByteReader reader(bytes);
+  uint8_t magic[sizeof(kMagic)];
+  if (bytes.size() < 16 || !reader.GetRaw(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return fail("bad magic (not a flight recording)");
   }
-  uint32_t version = TakeU32(bytes.data() + 4);
+  uint32_t version = reader.GetFixed32();
   if (version != kFormatVersion) {
     return fail("unsupported version " + std::to_string(version));
   }
-  uint64_t event_count = TakeU64(bytes.data() + 8);
-  size_t offset = 16;
-  if (bytes.size() < offset + event_count * 32) {
+  // Checked by division, so a hostile count can neither wrap the bound nor
+  // size the reserve below.
+  uint64_t event_count = reader.GetFixed64();
+  if (event_count > reader.remaining() / kEventBytes) {
     return fail("truncated event section");
   }
   out->events.clear();
   out->events.reserve(static_cast<size_t>(event_count));
   for (uint64_t i = 0; i < event_count; ++i) {
-    const uint8_t* rec = bytes.data() + offset;
     FlightEvent event;
-    event.ts_ns = TakeU64(rec);
-    uint32_t packed = TakeU32(rec + 8);
+    event.ts_ns = reader.GetFixed64();
+    uint32_t packed = reader.GetFixed32();
     event.type = static_cast<uint16_t>(packed & 0xffff);
     event.tid = static_cast<uint16_t>(packed >> 16);
-    event.arg0 = TakeU32(rec + 12);
-    event.arg1 = TakeU64(rec + 16);
-    event.arg2 = TakeU64(rec + 24);
+    event.arg0 = reader.GetFixed32();
+    event.arg1 = reader.GetFixed64();
+    event.arg2 = reader.GetFixed64();
     out->events.push_back(event);
-    offset += 32;
   }
-  if (bytes.size() < offset + 4) {
+  uint32_t string_count = reader.GetFixed32();
+  if (!reader.ok()) {
     return fail("truncated string table");
   }
-  uint32_t string_count = TakeU32(bytes.data() + offset);
-  offset += 4;
   out->strings.clear();
-  out->strings.reserve(string_count);
+  out->strings.reserve(std::min<size_t>(string_count, reader.remaining() / 4));
   for (uint32_t i = 0; i < string_count; ++i) {
-    if (bytes.size() < offset + 4) {
+    uint32_t length = reader.GetFixed32();
+    if (!reader.ok() || length > reader.remaining()) {
       return fail("truncated string table entry");
     }
-    uint32_t length = TakeU32(bytes.data() + offset);
-    offset += 4;
-    if (bytes.size() < offset + length) {
-      return fail("truncated string table entry");
-    }
-    out->strings.emplace_back(reinterpret_cast<const char*>(bytes.data() + offset), length);
-    offset += length;
+    out->strings.emplace_back(reinterpret_cast<const char*>(bytes.data() + reader.position()),
+                              length);
+    reader.Skip(length);
   }
   return true;
 }

@@ -82,16 +82,21 @@ void EventLogSetCrashDumpPath(const std::string& path, bool only_if_unset = fals
 std::string EventLogCrashDumpPath();
 
 // Writes the merged tail (every live slot) to `path` in flightrec format.
-// Safe on crash paths: raw syscalls, no byte_io, no allocation beyond the
-// merge buffer. Returns false on I/O failure.
+// Safe on crash paths: written by CrashSafeWriteFile, no allocation beyond
+// the merge and encode buffers. Returns false on I/O failure.
 bool EventLogFlush(const std::string& path);
+
+// Creates or truncates `path` and writes `bytes` with raw open/write/fsync
+// (EINTR retried). The crash-path writer of flightrec.bin and profile.bin:
+// it never enters byte_io's file helpers or their fault shim.
+bool CrashSafeWriteFile(const std::string& path, const std::vector<uint8_t>& bytes);
 
 // Registers an additional dump to run on every crash path — injected
 // `crash@` exits, fatal checks, and real fatal signals — after the event
 // rings are spilled. The sampling profiler registers one so profile.bin
 // lands next to flightrec.bin. Spillers must be best-effort crash-safe:
-// try-lock only, raw syscalls, no byte_io. At most 8; later registrations
-// are dropped.
+// try-lock only, CrashSafeWriteFile, no byte_io file helpers. At most 8;
+// later registrations are dropped.
 using CrashSpiller = void (*)();
 void EventLogAddCrashSpiller(CrashSpiller spiller);
 

@@ -1,10 +1,8 @@
 #include "src/obs/profiler.h"
 
-#include <fcntl.h>
 #include <pthread.h>
 #include <signal.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -12,6 +10,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -254,99 +253,41 @@ void TickerMain() {
   HarvestLocked(state);
 }
 
-// FNV-1a over the payload, the checkpoint codec's checksum discipline.
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 constexpr char kProfileMagic[4] = {'G', 'P', 'R', 'F'};
 constexpr uint32_t kProfileVersion = 1;
+// Bytes per encoded entry: checker(4) | phase(4) | pair(8) | wait_kind(4) |
+// samples(8).
+constexpr uint64_t kEntryBytes = 28;
 
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t TakeU32(const uint8_t* data) {
-  uint32_t value = 0;
-  for (int i = 3; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
-
-uint64_t TakeU64(const uint8_t* data) {
-  uint64_t value = 0;
-  for (int i = 7; i >= 0; --i) {
-    value = (value << 8) | data[i];
-  }
-  return value;
-}
-
-std::string EncodeProfile(const ProfileData& data) {
-  std::string payload;
-  payload.reserve(36 + data.entries.size() * 28);
-  AppendU64(&payload, data.sample_period_ns);
-  AppendU64(&payload, data.total_samples);
-  AppendU64(&payload, data.dropped_samples);
-  AppendU64(&payload, data.wall_ns);
-  AppendU32(&payload, static_cast<uint32_t>(data.entries.size()));
+// magic | version(fixed32) | payload length(fixed64) | payload |
+// FNV-1a(payload)(fixed64).
+std::vector<uint8_t> EncodeProfile(const ProfileData& data) {
+  std::vector<uint8_t> payload;
+  payload.reserve(36 + data.entries.size() * kEntryBytes);
+  PutFixed64(&payload, data.sample_period_ns);
+  PutFixed64(&payload, data.total_samples);
+  PutFixed64(&payload, data.dropped_samples);
+  PutFixed64(&payload, data.wall_ns);
+  PutFixed32(&payload, static_cast<uint32_t>(data.entries.size()));
   for (const ProfileEntry& entry : data.entries) {
-    AppendU32(&payload, entry.checker);
-    AppendU32(&payload, entry.phase);
-    AppendU64(&payload, entry.pair);
-    AppendU32(&payload, entry.wait_kind);
-    AppendU64(&payload, entry.samples);
+    PutFixed32(&payload, entry.checker);
+    PutFixed32(&payload, entry.phase);
+    PutFixed64(&payload, entry.pair);
+    PutFixed32(&payload, entry.wait_kind);
+    PutFixed64(&payload, entry.samples);
   }
-  AppendU32(&payload, static_cast<uint32_t>(data.strings.size()));
+  PutFixed32(&payload, static_cast<uint32_t>(data.strings.size()));
   for (const std::string& s : data.strings) {
-    AppendU32(&payload, static_cast<uint32_t>(s.size()));
-    payload.append(s);
+    PutFixed32(&payload, static_cast<uint32_t>(s.size()));
+    payload.insert(payload.end(), s.begin(), s.end());
   }
-  std::string blob;
+  std::vector<uint8_t> blob(std::begin(kProfileMagic), std::end(kProfileMagic));
   blob.reserve(16 + payload.size() + 8);
-  blob.append(kProfileMagic, sizeof(kProfileMagic));
-  AppendU32(&blob, kProfileVersion);
-  AppendU64(&blob, payload.size());
-  blob.append(payload);
-  AppendU64(&blob, Fnv1a64(payload));
+  PutFixed32(&blob, kProfileVersion);
+  PutFixed64(&blob, payload.size());
+  blob.insert(blob.end(), payload.begin(), payload.end());
+  PutFixed64(&blob, Fnv1a64(payload.data(), payload.size()));
   return blob;
-}
-
-// Raw syscalls: shared by the normal write (below, via tmp + rename) and
-// the crash spiller, which must not re-enter byte_io's fault shim.
-bool RawWriteFile(const std::string& path, const std::string& blob) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return false;
-  }
-  size_t done = 0;
-  while (done < blob.size()) {
-    ssize_t n = ::write(fd, blob.data() + done, blob.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      ::close(fd);
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  ::fsync(fd);
-  ::close(fd);
-  return true;
 }
 
 // Crash spiller, registered with the event log's fatal paths: refuses to
@@ -367,7 +308,7 @@ void ProfilerCrashSpill() {
   // Best-effort string table: an empty snapshot (table lock contended)
   // still decodes, ids just resolve to "".
   EventLogStringsSnapshot(&data.strings, /*try_only=*/true);
-  RawWriteFile(path, EncodeProfile(data));
+  CrashSafeWriteFile(path, EncodeProfile(data));
 }
 
 std::string ResolveId(const ProfileData& data, uint32_t id) {
@@ -585,9 +526,8 @@ void ProfilerResetForTest() {
 }
 
 bool ProfilerWriteFile(const std::string& path) {
-  std::string blob = profiler_internal::EncodeProfile(ProfilerSnapshot());
   std::string tmp = path + ".tmp";
-  if (!profiler_internal::RawWriteFile(tmp, blob)) {
+  if (!CrashSafeWriteFile(tmp, profiler_internal::EncodeProfile(ProfilerSnapshot()))) {
     return false;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
@@ -609,68 +549,62 @@ bool DecodeProfile(const std::string& path, ProfileData* out, std::string* error
   if (!ReadFileBytes(path, &bytes, &io_error)) {
     return fail(io_error);
   }
-  if (bytes.size() < 16 ||
-      std::memcmp(bytes.data(), profiler_internal::kProfileMagic, 4) != 0) {
+  ByteReader header(bytes);
+  uint8_t magic[sizeof(profiler_internal::kProfileMagic)];
+  if (bytes.size() < 16 || !header.GetRaw(magic, sizeof(magic)) ||
+      std::memcmp(magic, profiler_internal::kProfileMagic, sizeof(magic)) != 0) {
     return fail("bad magic (not a profile)");
   }
-  uint32_t version = profiler_internal::TakeU32(bytes.data() + 4);
+  uint32_t version = header.GetFixed32();
   if (version != profiler_internal::kProfileVersion) {
     return fail("unsupported version " + std::to_string(version));
   }
-  uint64_t payload_len = profiler_internal::TakeU64(bytes.data() + 8);
-  if (bytes.size() < 16 + payload_len + 8) {
+  // Compared without overflow: a length near 2^64 must not wrap the bound.
+  uint64_t payload_len = header.GetFixed64();
+  if (header.remaining() < 8 || payload_len > header.remaining() - 8) {
     return fail("truncated payload");
   }
-  std::string payload(reinterpret_cast<const char*>(bytes.data() + 16),
-                      static_cast<size_t>(payload_len));
-  uint64_t stored = profiler_internal::TakeU64(bytes.data() + 16 + payload_len);
-  if (profiler_internal::Fnv1a64(payload) != stored) {
+  const uint8_t* p = bytes.data() + header.position();
+  header.Skip(static_cast<size_t>(payload_len));
+  if (Fnv1a64(p, static_cast<size_t>(payload_len)) != header.GetFixed64()) {
     return fail("checksum mismatch");
   }
-  const uint8_t* p = bytes.data() + 16;
   if (payload_len < 36) {
     return fail("truncated header");
   }
-  out->sample_period_ns = profiler_internal::TakeU64(p);
-  out->total_samples = profiler_internal::TakeU64(p + 8);
-  out->dropped_samples = profiler_internal::TakeU64(p + 16);
-  out->wall_ns = profiler_internal::TakeU64(p + 24);
-  uint32_t entry_count = profiler_internal::TakeU32(p + 32);
-  size_t offset = 36;
-  if (payload_len < offset + static_cast<uint64_t>(entry_count) * 28) {
+  ByteReader reader(p, static_cast<size_t>(payload_len));
+  out->sample_period_ns = reader.GetFixed64();
+  out->total_samples = reader.GetFixed64();
+  out->dropped_samples = reader.GetFixed64();
+  out->wall_ns = reader.GetFixed64();
+  uint32_t entry_count = reader.GetFixed32();
+  if (entry_count > reader.remaining() / profiler_internal::kEntryBytes) {
     return fail("truncated entry section");
   }
   out->entries.clear();
   out->entries.reserve(entry_count);
   for (uint32_t i = 0; i < entry_count; ++i) {
-    const uint8_t* rec = p + offset;
     ProfileEntry entry;
-    entry.checker = profiler_internal::TakeU32(rec);
-    entry.phase = profiler_internal::TakeU32(rec + 4);
-    entry.pair = profiler_internal::TakeU64(rec + 8);
-    entry.wait_kind = profiler_internal::TakeU32(rec + 16);
-    entry.samples = profiler_internal::TakeU64(rec + 20);
+    entry.checker = reader.GetFixed32();
+    entry.phase = reader.GetFixed32();
+    entry.pair = reader.GetFixed64();
+    entry.wait_kind = reader.GetFixed32();
+    entry.samples = reader.GetFixed64();
     out->entries.push_back(entry);
-    offset += 28;
   }
-  if (payload_len < offset + 4) {
+  uint32_t string_count = reader.GetFixed32();
+  if (!reader.ok()) {
     return fail("truncated string table");
   }
-  uint32_t string_count = profiler_internal::TakeU32(p + offset);
-  offset += 4;
   out->strings.clear();
-  out->strings.reserve(string_count);
+  out->strings.reserve(std::min<size_t>(string_count, reader.remaining() / 4));
   for (uint32_t i = 0; i < string_count; ++i) {
-    if (payload_len < offset + 4) {
+    uint32_t length = reader.GetFixed32();
+    if (!reader.ok() || length > reader.remaining()) {
       return fail("truncated string table entry");
     }
-    uint32_t length = profiler_internal::TakeU32(p + offset);
-    offset += 4;
-    if (payload_len < offset + length) {
-      return fail("truncated string table entry");
-    }
-    out->strings.emplace_back(reinterpret_cast<const char*>(p + offset), length);
-    offset += length;
+    out->strings.emplace_back(reinterpret_cast<const char*>(p + reader.position()), length);
+    reader.Skip(length);
   }
   return true;
 }

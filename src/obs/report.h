@@ -68,7 +68,7 @@ struct RunReport {
 };
 
 // Renders the engine/oracle counters of one snapshot as the classic
-// multi-line stats block (EngineStats::ToString delegates here).
+// multi-line stats block (analyze_file --stats, raw_closure).
 std::string RenderEngineSummary(const MetricsSnapshot& snapshot);
 
 // Writes `content` to `path` atomically enough for reports (single write).

@@ -445,7 +445,7 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
       json.Key("cached").Bool(handle.cached());
       json.Key("session_checks").UInt(session_checks);
       json.Key("queue_ms").Double(queue_ms);
-      // This request's Check only: result.total_seconds also counts the
+      // This request's Check only: result.report.total_seconds also counts the
       // session's one-time frontend, which warm requests did not run.
       json.Key("check_seconds").Double(check_ms / 1e3);
       json.Key("total_reports").UInt(result.TotalReports());

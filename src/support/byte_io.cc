@@ -46,6 +46,13 @@ void PutFixed64(std::vector<uint8_t>* out, uint64_t value) {
   }
 }
 
+uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t hash) {
+  for (size_t i = 0; i < size; ++i) {
+    hash = (hash ^ data[i]) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 uint64_t ByteReader::GetVarint64() {
   uint64_t result = 0;
   int shift = 0;
@@ -70,7 +77,7 @@ int64_t ByteReader::GetVarintSigned64() {
 }
 
 uint32_t ByteReader::GetFixed32() {
-  if (!ok_ || pos_ + 4 > size_) {
+  if (!ok_ || size_ - pos_ < 4) {
     ok_ = false;
     return 0;
   }
@@ -83,7 +90,7 @@ uint32_t ByteReader::GetFixed32() {
 }
 
 uint64_t ByteReader::GetFixed64() {
-  if (!ok_ || pos_ + 8 > size_) {
+  if (!ok_ || size_ - pos_ < 8) {
     ok_ = false;
     return 0;
   }
@@ -96,7 +103,7 @@ uint64_t ByteReader::GetFixed64() {
 }
 
 bool ByteReader::GetRaw(uint8_t* out, size_t n) {
-  if (!ok_ || pos_ + n > size_) {
+  if (!ok_ || size_ - pos_ < n) {
     ok_ = false;
     return false;
   }
@@ -106,7 +113,7 @@ bool ByteReader::GetRaw(uint8_t* out, size_t n) {
 }
 
 bool ByteReader::Skip(size_t n) {
-  if (!ok_ || pos_ + n > size_) {
+  if (!ok_ || size_ - pos_ < n) {
     ok_ = false;
     return false;
   }

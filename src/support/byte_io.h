@@ -53,6 +53,11 @@ void PutVarintSigned64(std::vector<uint8_t>* out, int64_t value);
 void PutFixed32(std::vector<uint8_t>* out, uint32_t value);
 void PutFixed64(std::vector<uint8_t>* out, uint64_t value);
 
+// 64-bit FNV-1a over `size` bytes, continuing from `hash`. The checksum of
+// the on-disk formats (partition blocks, checkpoint manifests, profiles).
+inline constexpr uint64_t kFnv1aOffset64 = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a64(const uint8_t* data, size_t size, uint64_t hash = kFnv1aOffset64);
+
 // Sequential reader over a byte span. All Get* methods check bounds and
 // report failure via ok(); after a failed read the cursor is poisoned.
 class ByteReader {

@@ -51,9 +51,13 @@ TEST(GrappleFacadeTest, SessionIsReusable) {
   ASSERT_EQ(second.checkers.size(), 1u);
   ASSERT_EQ(first.checkers[0].reports.size(), second.checkers[0].reports.size());
   EXPECT_EQ(first.checkers[0].reports[0].ToString(), second.checkers[0].reports[0].ToString());
-  // Phase 1 ran once and was reused: identical alias stats, including the
+  // Phase 1 ran once and was reused: identical alias record, including the
   // wall-clock second of the original run.
-  EXPECT_EQ(first.alias.seconds, second.alias.seconds);
+  ASSERT_FALSE(first.report.phases.empty());
+  ASSERT_FALSE(second.report.phases.empty());
+  EXPECT_EQ(first.report.phases[0].name, "alias");
+  EXPECT_EQ(first.report.phases[0].seconds, second.report.phases[0].seconds);
+  EXPECT_EQ(first.report.phases[0].metrics.ToJson(), second.report.phases[0].metrics.ToJson());
   EXPECT_EQ(first.alias_pairs, second.alias_pairs);
 }
 
@@ -64,6 +68,29 @@ TEST(GrappleFacadeTest, CheckOneReusesCachedAliasPhase) {
   EXPECT_EQ(io.checker, "io");
   ASSERT_EQ(io.reports.size(), 1u);
   EXPECT_EQ(io.reports[0].ToString(), all.checkers[0].reports[0].ToString());
+}
+
+// A checker's record is taken after report extraction, so it counts the
+// witness decodes that extraction did, and Check() reports the same record.
+TEST(GrappleFacadeTest, CheckerRecordCountsItsWitnessDecodes) {
+  GrappleOptions options;
+  options.observability.witness = obs::WitnessMode::kBugs;
+  Grapple analyzer(MustParse(kSmall), options);
+  CheckerRunResult io = analyzer.CheckOne(MakeIoCheckerSpec());
+  uint64_t witnesses = 0;
+  for (const BugReport& report : io.reports) {
+    witnesses += report.has_witness ? 1 : 0;
+  }
+  EXPECT_GT(witnesses, 0u);
+  EXPECT_EQ(io.phase.name, "typestate:io");
+  EXPECT_EQ(io.phase.metrics.CounterOr("witnesses_decoded_total"), witnesses);
+
+  GrappleResult all = analyzer.Check({MakeIoCheckerSpec()});
+  ASSERT_EQ(all.report.phases.size(), 2u);
+  const obs::PhaseReport& phase = all.report.phases[1];
+  EXPECT_EQ(phase.name, "typestate:io");
+  EXPECT_EQ(phase.metrics.CounterOr("witnesses_decoded_total"), witnesses);
+  EXPECT_EQ(phase.metrics.ToJson(), all.checkers[0].phase.metrics.ToJson());
 }
 
 TEST(GrappleFacadeTest, RepeatedRunsGetDistinctWorkDirs) {
@@ -152,16 +179,28 @@ TEST(GrappleFacadeTest, ResultAggregatesAcrossPhases) {
   GrappleResult result = analyzer.Check(AllBuiltinCheckers());
   ASSERT_EQ(result.checkers.size(), 4u);
   EXPECT_EQ(result.TotalReports(), 1u);
-  EXPECT_GT(result.alias.num_vertices, 0u);
-  EXPECT_GT(result.alias.edges_before, 0u);
-  EXPECT_GE(result.alias.edges_after, result.alias.edges_before);
-  uint64_t vertex_sum = result.alias.num_vertices;
-  for (const auto& checker : result.checkers) {
-    vertex_sum += checker.typestate.num_vertices;
+  EXPECT_EQ(result.report.total_reports, 1u);
+  // One record per engine run: the alias phase, then each checker's.
+  ASSERT_EQ(result.report.phases.size(), 5u);
+  const obs::PhaseReport& alias = result.report.phases[0];
+  EXPECT_EQ(alias.name, "alias");
+  EXPECT_GT(alias.num_vertices, 0u);
+  EXPECT_GT(alias.edges_before, 0u);
+  EXPECT_GE(alias.edges_after, alias.edges_before);
+  EXPECT_EQ(alias.edges_before, alias.metrics.CounterOr("engine_base_edges_total"));
+  EXPECT_EQ(alias.edges_after, alias.metrics.CounterOr("engine_final_edges_total"));
+  for (size_t i = 0; i < result.checkers.size(); ++i) {
+    const obs::PhaseReport& phase = result.report.phases[i + 1];
+    EXPECT_EQ(phase.name, "typestate:" + result.checkers[i].checker);
+    EXPECT_EQ(phase.name, result.checkers[i].phase.name);
+    if (result.checkers[i].tracked_objects > 0) {
+      EXPECT_GT(phase.num_vertices, 0u);
+    }
+    EXPECT_EQ(phase.edges_before, phase.metrics.CounterOr("engine_base_edges_total"));
+    EXPECT_EQ(phase.edges_after, phase.metrics.CounterOr("engine_final_edges_total"));
   }
-  EXPECT_EQ(result.TotalVerticesAllPhases(), vertex_sum);
-  EXPECT_GE(result.total_seconds, result.alias.seconds);
-  EXPECT_GE(result.PreprocessSeconds(), result.frontend_seconds);
+  EXPECT_GT(result.report.frontend_seconds, 0.0);
+  EXPECT_GE(result.report.total_seconds, alias.seconds + result.report.frontend_seconds);
 }
 
 TEST(GrappleFacadeTest, MultiThreadedMatchesSequential) {

@@ -35,9 +35,9 @@ std::string Fingerprint(const GrappleResult& result) {
   for (const auto& checker : result.checkers) {
     out += checker.checker;
     out += " tracked=" + std::to_string(checker.tracked_objects);
-    out += " vertices=" + std::to_string(checker.typestate.num_vertices);
-    out += " edges=" + std::to_string(checker.typestate.edges_before) + "/" +
-           std::to_string(checker.typestate.edges_after);
+    out += " vertices=" + std::to_string(checker.phase.num_vertices);
+    out += " edges=" + std::to_string(checker.phase.edges_before) + "/" +
+           std::to_string(checker.phase.edges_after);
     out += "\n";
     out += ReportsToJson(checker.reports);
     out += "\n";

@@ -155,6 +155,23 @@ TEST(CheckpointCodecTest, TrailingGarbageIsRejected) {
   EXPECT_FALSE(DecodeCheckpointManifest(bytes, &decoded, &error));
 }
 
+// magic | version | a payload length of 2^64 - 8: the length check must not
+// wrap to "exactly the bytes left" and read the checksum out of bounds.
+std::vector<uint8_t> WrappingLengthManifest() {
+  std::vector<uint8_t> bytes;
+  EncodeCheckpointManifest(SampleManifest(), &bytes);
+  bytes.resize(12);
+  PutFixed64(&bytes, 0xFFFFFFFFFFFFFFF8ULL);
+  return bytes;
+}
+
+TEST(CheckpointCodecTest, WrappingPayloadLengthIsRejected) {
+  CheckpointManifest decoded;
+  std::string error;
+  EXPECT_FALSE(DecodeCheckpointManifest(WrappingLengthManifest(), &decoded, &error));
+  EXPECT_NE(error.find("payload length mismatch"), std::string::npos) << error;
+}
+
 TEST(CheckpointCodecTest, SaveThenLoadRoundTrips) {
   TempDir dir("ckpt-save");
   CheckpointManifest original = SampleManifest();
@@ -279,6 +296,12 @@ TEST_F(CheckpointEngineTest, CorruptManifestFallsBackToCleanRestart) {
   auto [second, second_resumed] = RunOnce(dir.path());
   EXPECT_EQ(second_resumed, 0u);  // corrupt manifest => no resume...
   EXPECT_EQ(first, second);       // ...but a correct fresh run
+
+  // The same for a manifest whose length field wraps the size check.
+  ASSERT_TRUE(WriteFileBytes(manifest_path, WrappingLengthManifest()));
+  auto [third, third_resumed] = RunOnce(dir.path());
+  EXPECT_EQ(third_resumed, 0u);
+  EXPECT_EQ(first, third);
 }
 
 TEST_F(CheckpointEngineTest, TruncatedPartitionFileFallsBackToCleanRestart) {

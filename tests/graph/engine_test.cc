@@ -86,7 +86,7 @@ TEST_F(EngineTest, TransitiveClosureChain) {
   std::set<std::pair<VertexId, VertexId>> expected = {{0, 1}, {1, 2}, {2, 3},
                                                       {0, 2}, {1, 3}, {0, 3}};
   EXPECT_EQ(paths, expected);
-  EXPECT_EQ(engine.stats().base_edges, 3u + 3u);  // edge + derived path labels
+  EXPECT_EQ(engine.Metrics().CounterOr("engine_base_edges_total"), 3u + 3u);  // edge + derived path labels
 }
 
 TEST_F(EngineTest, JoinStageCountersAreRecorded) {
@@ -97,8 +97,8 @@ TEST_F(EngineTest, JoinStageCountersAreRecorded) {
   GraphEngine engine(&grammar_, &oracle, options);
   PathEncoding trivial = PathEncoding::Empty();
   RunAndCollectPaths(&engine, {{0, 1, trivial}, {1, 2, trivial}, {2, 3, trivial}}, 4);
-  ASSERT_GT(engine.stats().joins_attempted, 0u);
-  const obs::MetricsSnapshot& m = engine.stats().metrics;
+  obs::MetricsSnapshot m = engine.Metrics();
+  ASSERT_GT(m.CounterOr("engine_joins_attempted_total"), 0u);
   EXPECT_GT(m.CounterOr("engine_index_build_ns"), 0u);
   EXPECT_GT(m.CounterOr("engine_candidates_ns"), 0u);
   EXPECT_GT(m.CounterOr("engine_integrate_ns"), 0u);
@@ -128,8 +128,9 @@ TEST_F(EngineTest, OverBudgetPairReachesItsFixpoint) {
   options.max_seconds = 10;
   GraphEngine engine(&grammar_, &oracle, options);
   EXPECT_EQ(RunAndCollectPaths(&engine, edges, kChain), expected);
-  EXPECT_FALSE(engine.stats().timed_out);
-  EXPECT_GT(engine.stats().metrics.GaugeOr("engine_peak_resident_bytes"), 16.0);
+  obs::MetricsSnapshot m = engine.Metrics();
+  EXPECT_EQ(m.GaugeOr("engine_timed_out", -1), 0.0);
+  EXPECT_GT(m.GaugeOr("engine_peak_resident_bytes"), 16.0);
 }
 
 TEST_F(EngineTest, UnsatisfiableCompositionIsPruned) {
@@ -146,7 +147,7 @@ TEST_F(EngineTest, UnsatisfiableCompositionIsPruned) {
   EXPECT_TRUE(paths.count({0, 1}));
   EXPECT_TRUE(paths.count({1, 2}));
   EXPECT_FALSE(paths.count({0, 2}));
-  EXPECT_GT(engine.stats().unsat_pruned, 0u);
+  EXPECT_GT(engine.Metrics().CounterOr("engine_unsat_pruned_total"), 0u);
 }
 
 TEST_F(EngineTest, FeasibleCompositionSurvives) {
@@ -263,7 +264,7 @@ TEST_F(EngineTest, VariantCapWidensTriples) {
   }
   auto paths = RunAndCollectPaths(&engine, edges, 100);
   EXPECT_TRUE(paths.count({0, 99}));
-  EXPECT_GT(engine.stats().widened_triples, 0u);
+  EXPECT_GT(engine.Metrics().CounterOr("engine_widened_triples_total"), 0u);
 }
 
 TEST_F(EngineTest, CacheHitsOnRepeatedEncodings) {
@@ -281,7 +282,7 @@ TEST_F(EngineTest, CacheHitsOnRepeatedEncodings) {
     edges.emplace_back(v + 1, v + 2, PathEncoding::Interval(0, 2, 6));
   }
   RunAndCollectPaths(&engine, edges, 31);
-  EXPECT_GT(oracle.Stats().cache_hits, 0u);
+  EXPECT_GT(oracle.Metrics().CounterOr("oracle_cache_hits_total"), 0u);
 }
 
 // A randomized payload set over kCondSource's CFET: intervals (sat and

@@ -255,7 +255,7 @@ TEST(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
     engine.Run();
     std::vector<uint8_t> dump;
     engine.ForEachEdge([&](const EdgeRecord& e) { SerializeEdge(e, &dump); });
-    return std::make_pair(dump, engine.stats().final_edges);
+    return std::make_pair(dump, engine.Metrics().CounterOr("engine_final_edges_total"));
   };
 
   auto [off_dump, off_edges] = run(false);

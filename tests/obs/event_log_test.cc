@@ -200,6 +200,27 @@ TEST(EventLogTest, DecodeRejectsCorruptDumps) {
   std::string error;
   EXPECT_FALSE(DecodeFlightRecording(path, &recording, &error));
   EXPECT_FALSE(error.empty());
+
+  auto expect_error = [&](const std::vector<uint8_t>& bytes, const std::string& needle) {
+    ASSERT_TRUE(WriteFileBytes(path, bytes));
+    FlightRecording out;
+    std::string why;
+    EXPECT_FALSE(DecodeFlightRecording(path, &out, &why));
+    EXPECT_NE(why.find(needle), std::string::npos) << why;
+  };
+  std::vector<uint8_t> header = {'G', 'F', 'R', '1'};
+  PutFixed32(&header, 1);
+  // An event count whose byte size wraps 2^64 (2^59 + 1 events of 32
+  // bytes) must not pass the bound and size a reserve.
+  std::vector<uint8_t> wrapping = header;
+  PutFixed64(&wrapping, (uint64_t{1} << 59) + 1);
+  wrapping.resize(wrapping.size() + 32 + 4, 0);
+  expect_error(wrapping, "truncated event section");
+  // A string count far past the bytes left must not size a reserve either.
+  std::vector<uint8_t> strings = header;
+  PutFixed64(&strings, 0);
+  PutFixed32(&strings, 0xFFFFFFFFu);
+  expect_error(strings, "truncated string table entry");
 }
 
 TEST(EventLogTest, DisableIsPauseNotClear) {

@@ -311,6 +311,12 @@ TEST(ProfilerTest, DecodeRejectsTruncationAndCorruption) {
 
   std::vector<uint8_t> tiny(good.begin(), good.begin() + 8);
   expect_error(tiny, "bad magic");
+
+  // A payload length near 2^64 must not wrap the size check.
+  std::vector<uint8_t> wrapping(good.begin(), good.begin() + 8);
+  PutFixed64(&wrapping, 0xFFFFFFFFFFFFFFF0ULL);
+  wrapping.resize(24, 0);
+  expect_error(wrapping, "truncated payload");
 }
 
 // The BENCH_*.json stamp: valid JSON with sample totals and fractions.
