@@ -190,25 +190,6 @@ void BM_FourierMotzkin(benchmark::State& state) {
 }
 BENCHMARK(BM_FourierMotzkin)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_EdgeSerializeRoundTrip(benchmark::State& state) {
-  EdgeRecord edge;
-  edge.src = 123456;
-  edge.dst = 654321;
-  edge.label = 7;
-  PathEncoding enc = InterprocEncoding();
-  enc.Serialize(&edge.payload);
-  std::vector<uint8_t> buffer;
-  for (auto _ : state) {
-    buffer.clear();
-    SerializeEdge(edge, &buffer);
-    ByteReader reader(buffer);
-    EdgeRecord out;
-    DeserializeEdge(&reader, &out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_EdgeSerializeRoundTrip);
-
 void BM_PartitionRoundTrip(benchmark::State& state) {
   TempDir dir("micro-partition");
   PartitionStore store(dir.path());

@@ -142,8 +142,8 @@ void RunSchedulerSpeedup(obs::BenchReport* bench, const WorkloadConfig& preset) 
   bench->Add(std::move(sched));
 }
 
-// A/B of the pipelined partition I/O (write-behind + prefetch + compact
-// block format) against the synchronous raw-format path on one subject. The
+// A/B of background partition I/O (write-behind + prefetch) against inline
+// partition I/O on one subject; both write the same block-format files. The
 // engine memory budget is capped well below the subject's edge data so the
 // run genuinely spills: partitions split, deltas append, and the fixpoint
 // sweep re-loads partitions pair after pair — exactly the access pattern
@@ -180,28 +180,24 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
 
   bool identical = ReportFingerprint(off.result) == ReportFingerprint(on.result);
   double io_speedup = on.io_seconds > 0 ? off.io_seconds / on.io_seconds : 0;
-  double write_reduction =
-      off.bytes_written > 0 ? 1.0 - on.bytes_written / off.bytes_written : 0;
   double prefetch_hits = static_cast<double>(SumCounter(on.result, "io_prefetch_hits_total"));
   double prefetch_issued = static_cast<double>(SumCounter(on.result, "io_prefetch_issued_total"));
   double prefetch_wasted = static_cast<double>(SumCounter(on.result, "io_prefetch_wasted_total"));
   double write_cache_hits = static_cast<double>(SumCounter(on.result, "io_write_cache_hits_total"));
 
-  PrintHeaderLine("Partition I/O: synchronous vs pipelined");
-  std::printf("%-11s %9s %9s %8s %11s %11s %9s %10s\n", "Subject", "io(off)", "io(on)",
-              "speedup", "wrMB(off)", "wrMB(on)", "wr-red", "identical");
-  std::printf("%-11s %9s %9s %7.2fx %11.2f %11.2f %8.1f%% %10s\n", preset.name.c_str(),
+  PrintHeaderLine("Partition I/O: inline vs pipelined");
+  std::printf("%-11s %9s %9s %8s %11s %11s %10s\n", "Subject", "io(off)", "io(on)", "speedup",
+              "wrMB(off)", "wrMB(on)", "identical");
+  std::printf("%-11s %9s %9s %7.2fx %11.2f %11.2f %10s\n", preset.name.c_str(),
               FormatDuration(off.io_seconds).c_str(), FormatDuration(on.io_seconds).c_str(),
               io_speedup, off.bytes_written / (1024.0 * 1024.0),
-              on.bytes_written / (1024.0 * 1024.0), 100.0 * write_reduction,
-              identical ? "yes" : "NO");
+              on.bytes_written / (1024.0 * 1024.0), identical ? "yes" : "NO");
   std::printf("io(off/on) is foreground blocking time in the \"io\" phase bucket; the\n");
   std::printf("pipeline hides write+encode latency behind compute and serves Loads from\n");
   std::printf("the write-back/prefetch cache (%.0f write-cache hits; %.0f prefetch hits /\n",
               write_cache_hits, prefetch_hits);
-  std::printf("%.0f issued / %.0f wasted). wr-red is the on-disk byte saving of the\n",
-              prefetch_issued, prefetch_wasted);
-  std::printf("compact block format (budget %zu KB).\n",
+  std::printf("%.0f issued / %.0f wasted). Both modes write the same files (budget %zu KB).\n",
+              prefetch_issued, prefetch_wasted,
               static_cast<size_t>(options.engine.memory_budget_bytes >> 10));
 
   obs::RunReport pipeline;
@@ -215,7 +211,6 @@ void RunIoPipelineComparison(obs::BenchReport* bench, const WorkloadConfig& pres
   phase.metrics.gauges["io_speedup"] = io_speedup;
   phase.metrics.gauges["io_bytes_written_off"] = off.bytes_written;
   phase.metrics.gauges["io_bytes_written_on"] = on.bytes_written;
-  phase.metrics.gauges["io_bytes_written_reduction"] = write_reduction;
   phase.metrics.gauges["io_bytes_read_off"] = off.bytes_read;
   phase.metrics.gauges["io_bytes_read_on"] = on.bytes_read;
   phase.metrics.gauges["io_prefetch_hits"] = prefetch_hits;

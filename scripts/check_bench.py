@@ -78,11 +78,6 @@ DEFAULT_WATCH = [
         "tolerance": 0.5,
     },
     {
-        "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_bytes_written_reduction",
-        "direction": "higher_is_better",
-        "min": 0.30,
-    },
-    {
         "key": "table3_performance/io_pipeline/io_pipeline/gauge:io_reports_identical",
         "direction": "higher_is_better",
         "min": 1.0,

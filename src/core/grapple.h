@@ -72,9 +72,9 @@ struct GrappleOptions {
     // Simulated latency sleeps (out-of-process solver endpoint) instead of
     // busy-waiting (in-process solver). See IntervalOracle::Options.
     bool simulated_solve_blocks = false;
-    // Pipelined partition I/O: write-behind, schedule-driven prefetch, and
-    // the compact block file format (see EngineOptions.io_pipeline and
-    // DESIGN.md). Results are byte-identical either way.
+    // Background partition I/O: write-behind and schedule-driven prefetch
+    // (see EngineOptions.io_pipeline and DESIGN.md). Off runs partition I/O
+    // inline; the files and the results are byte-identical either way.
     bool io_pipeline = true;
   };
 

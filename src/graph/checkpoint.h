@@ -34,7 +34,10 @@
 
 namespace grapple {
 
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+// v2: every partition file a manifest names is in the block format. A v1
+// manifest may name raw record files, which this build cannot read, so it
+// is refused as version skew and the run starts fresh.
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 // Snapshot of one PartitionInfo plus the on-disk size recovery truncates
 // the file back to. `file` is the basename; the work dir is implicit so a
@@ -43,7 +46,7 @@ struct CheckpointPartition {
   VertexId lo = 0;
   VertexId hi = 0;
   std::string file;
-  uint64_t bytes = 0;  // raw-format byte charge (layout decisions)
+  uint64_t bytes = 0;  // LayoutChargeBytes charge (layout decisions)
   uint64_t edges = 0;
   uint64_t version = 0;
   uint64_t disk_bytes = 0;  // actual file size at publish time

@@ -2,34 +2,6 @@
 
 namespace grapple {
 
-void SerializeEdge(const EdgeRecord& edge, std::vector<uint8_t>* out) {
-  PutVarint64(out, edge.src);
-  PutVarint64(out, edge.dst);
-  PutVarint64(out, edge.label);
-  PutVarint64(out, edge.payload.size());
-  out->insert(out->end(), edge.payload.begin(), edge.payload.end());
-}
-
-bool DeserializeEdge(ByteReader* reader, EdgeRecord* edge) {
-  if (reader->AtEnd() || !reader->ok()) {
-    return false;
-  }
-  edge->src = static_cast<VertexId>(reader->GetVarint64());
-  edge->dst = static_cast<VertexId>(reader->GetVarint64());
-  edge->label = static_cast<Label>(reader->GetVarint64());
-  uint64_t len = reader->GetVarint64();
-  // Bounds-check before resize: a corrupt length varint must not drive a
-  // multi-gigabyte allocation.
-  if (!reader->ok() || len > reader->remaining()) {
-    return false;
-  }
-  edge->payload.resize(len);
-  if (len > 0 && !reader->GetRaw(edge->payload.data(), len)) {
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 inline uint64_t Fnv1a(uint64_t h, uint64_t value) {

@@ -2,8 +2,9 @@
 //
 // Edge payloads are variable-length byte strings (the serialized path
 // encoding, or — for the Table-5 baseline codec — an explicit constraint).
-// Records are inlined into partition files exactly as §4.3 describes: no
-// out-of-line constraint objects, sequential access only.
+// Records are inlined into partition files (src/graph/partition_codec.h)
+// as §4.3 describes: no out-of-line constraint objects, sequential access
+// only.
 #ifndef GRAPPLE_SRC_GRAPH_EDGE_H_
 #define GRAPPLE_SRC_GRAPH_EDGE_H_
 
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "src/grammar/grammar.h"
-#include "src/support/byte_io.h"
 
 namespace grapple {
 
@@ -23,13 +23,6 @@ struct EdgeRecord {
   Label label = kNoLabel;
   std::vector<uint8_t> payload;
 };
-
-// Record wire format: varint src, varint dst, varint label, varint payload
-// length, payload bytes.
-void SerializeEdge(const EdgeRecord& edge, std::vector<uint8_t>* out);
-
-// Returns false at end-of-stream or on corruption.
-bool DeserializeEdge(ByteReader* reader, EdgeRecord* edge);
 
 // 64-bit content hash of the full record (used for dedup indexing).
 uint64_t EdgeContentHash(VertexId src, VertexId dst, Label label, const uint8_t* payload,

@@ -251,7 +251,7 @@ GraphEngine::GraphEngine(const Grammar* grammar, ConstraintOracle* oracle, Engin
       runtime_(options_.runtime != nullptr ? options_.runtime : owned_runtime_.get()),
       join_shards_(ResolveThreadCount(options_.num_threads)),
       store_(options_.work_dir, &metrics_,
-             PartitionStorePipeline{options_.io_pipeline, options_.memory_budget_bytes, runtime_}),
+             options_.io_pipeline ? runtime_ : nullptr, options_.memory_budget_bytes),
       true_payload_(oracle_->Intern(oracle_->TruePayload())) {
   obs::EventLogInstall();
   // Propose this engine's work dir as the crash-dump target; the Grapple

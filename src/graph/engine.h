@@ -53,9 +53,10 @@ struct EngineOptions {
   // sized ResolveThreadCount(num_threads), plus one worker for the
   // background I/O lanes when the pipeline is on. Must outlive the engine.
   TaskRuntime* runtime = nullptr;
-  // Pipelined partition I/O: write-behind, schedule-driven prefetch, and
-  // the compact block file format (see partition_store.h and DESIGN.md).
-  // Results are byte-identical either way.
+  // Background partition I/O: write-behind and schedule-driven prefetch on
+  // the runtime (see partition_store.h and DESIGN.md). Off runs every
+  // partition read and write inline. Either way the files have the same
+  // format and bytes, and results are byte-identical.
   bool io_pipeline = true;
   // Per-(src,dst,label) cap on distinct payload variants; reaching it
   // widens the triple to the always-true payload. Guarantees termination

@@ -59,25 +59,14 @@ size_t SharedPrefix(const SpanRef& a, const SpanRef& b) {
   return i;
 }
 
-PartitionDecodeStatus DecodeRaw(const std::string& path, const std::vector<uint8_t>& bytes,
-                                std::vector<EdgeRecord>* edges) {
-  ByteReader reader(bytes);
-  while (!reader.AtEnd()) {
-    size_t offset = reader.position();
-    EdgeRecord edge;
-    if (!DeserializeEdge(&reader, &edge)) {
-      return Corrupt("truncated or corrupt raw edge record in " + At(path, offset) + " (" +
-                     std::to_string(bytes.size()) + " bytes total)");
-    }
-    edges->push_back(std::move(edge));
-  }
-  return PartitionDecodeStatus();
-}
+}  // namespace
 
-PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<uint8_t>& bytes,
-                                   std::vector<EdgeRecord>* edges) {
-  if (bytes.size() < kBlockFileHeaderSize) {
-    return Corrupt("truncated block-file header in " + At(path, 0));
+PartitionDecodeStatus DecodePartitionBytes(const std::string& path,
+                                           const std::vector<uint8_t>& bytes,
+                                           std::vector<EdgeRecord>* edges) {
+  if (bytes.size() < kBlockFileHeaderSize || std::memcmp(bytes.data(), kBlockMagic, 4) != 0) {
+    return Corrupt("missing block-file header in " + At(path, 0) + " (" +
+                   std::to_string(bytes.size()) + " bytes, no GRPB magic)");
   }
   uint8_t version = bytes[4];
   if (version != kBlockFormatVersion) {
@@ -95,7 +84,11 @@ PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<ui
     if (!reader.ok()) {
       return Corrupt("truncated block header in " + At(path, block_offset));
     }
-    if (edge_count == 0 || payload_count == 0 || payload_count > edge_count) {
+    // Every payload entry takes at least 2 body bytes and every edge entry
+    // at least 4, so counts the body cannot hold are rejected here, before
+    // they size any allocation.
+    if (edge_count == 0 || payload_count == 0 || payload_count > edge_count ||
+        edge_count > body_len / 4 || payload_count > (body_len - edge_count * 4) / 2) {
       return Corrupt("implausible block header in " + At(path, block_offset) + " (" +
                      std::to_string(edge_count) + " edges, " + std::to_string(payload_count) +
                      " payloads)");
@@ -175,18 +168,12 @@ PartitionDecodeStatus DecodeBlocks(const std::string& path, const std::vector<ui
   return PartitionDecodeStatus();
 }
 
-}  // namespace
-
 void AppendBlockFileHeader(std::vector<uint8_t>* out) {
   out->insert(out->end(), kBlockMagic, kBlockMagic + 4);
   out->push_back(kBlockFormatVersion);
 }
 
-bool HasBlockFileHeader(const std::vector<uint8_t>& bytes) {
-  return bytes.size() >= 4 && std::memcmp(bytes.data(), kBlockMagic, 4) == 0;
-}
-
-uint64_t RawFormatBytes(const std::vector<EdgeRecord>& edges) {
+uint64_t LayoutChargeBytes(const std::vector<EdgeRecord>& edges) {
   uint64_t total = 0;
   for (const auto& edge : edges) {
     total += VarintLen(edge.src) + VarintLen(edge.dst) + VarintLen(edge.label) +
@@ -195,11 +182,7 @@ uint64_t RawFormatBytes(const std::vector<EdgeRecord>& edges) {
   return total;
 }
 
-void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out,
-                     uint64_t* raw_bytes) {
-  if (raw_bytes != nullptr) {
-    *raw_bytes = RawFormatBytes(edges);
-  }
+void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out) {
   if (edges.empty()) {
     return;
   }
@@ -255,15 +238,6 @@ void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>*
   PutVarint64(out, body.size());
   out->insert(out->end(), body.begin(), body.end());
   PutFixed64(out, Fnv1a64(body.data(), body.size()));
-}
-
-PartitionDecodeStatus DecodePartitionBytes(const std::string& path,
-                                           const std::vector<uint8_t>& bytes,
-                                           std::vector<EdgeRecord>* edges) {
-  if (HasBlockFileHeader(bytes)) {
-    return DecodeBlocks(path, bytes, edges);
-  }
-  return DecodeRaw(path, bytes, edges);
 }
 
 }  // namespace grapple

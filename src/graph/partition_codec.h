@@ -1,8 +1,10 @@
-// Compact on-disk block format for edge-partition files (format v1).
+// The on-disk format of edge-partition files (format v1). Every partition
+// file is written in it, whether the store runs its I/O in the background
+// or inline.
 //
-// A block-format file is a 5-byte header ("GRPB" magic + format version)
-// followed by a sequence of self-checking blocks. Every write (initial
-// layout, rewrite, append) emits exactly one block:
+// A file is a 5-byte header ("GRPB" magic + format version) followed by a
+// sequence of self-checking blocks. Every write (initial layout, rewrite,
+// append) emits exactly one block:
 //
 //   varint edge_count               (> 0; empty writes emit no block)
 //   varint payload_count            (unique payloads referenced by the block)
@@ -24,12 +26,10 @@
 // encodings; that is where most of the size reduction comes from. The delta
 // varint edge fields shave the fixed per-record overhead on top.
 //
-// Decoding auto-detects the legacy raw format (a bare SerializeEdge stream,
-// no magic), so a store can always read back whatever an earlier
-// configuration wrote. All decode failures are reported as descriptive
-// errors naming the file, the byte offset, and the nature of the corruption
-// (truncation, checksum mismatch, implausible structure) instead of
-// producing garbage edges.
+// All decode failures — a missing header included — are reported as
+// descriptive errors naming the file, the byte offset, and the nature of the
+// corruption (truncation, checksum mismatch, implausible structure) instead
+// of producing garbage edges.
 #ifndef GRAPPLE_SRC_GRAPH_PARTITION_CODEC_H_
 #define GRAPPLE_SRC_GRAPH_PARTITION_CODEC_H_
 
@@ -54,22 +54,18 @@ struct PartitionDecodeStatus {
 // Appends the block-format file header (magic + version).
 void AppendBlockFileHeader(std::vector<uint8_t>* out);
 
-// True when `bytes` starts with the block-format magic.
-bool HasBlockFileHeader(const std::vector<uint8_t>& bytes);
-
 // Encodes `edges` as one block appended to `*out`. No-op for empty input.
-// When non-null, `*raw_bytes` receives the size the same edges occupy in the
-// legacy raw record format (for compression-ratio accounting).
-void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out,
-                     uint64_t* raw_bytes);
+void AppendEdgeBlock(const std::vector<EdgeRecord>& edges, std::vector<uint8_t>* out);
 
-// Size of `edges` in the legacy raw record format, without serializing.
-uint64_t RawFormatBytes(const std::vector<EdgeRecord>& edges);
+// The byte charge partition metadata records for `edges`: per edge, the
+// varint lengths of src, dst, label and payload size, plus the payload
+// bytes. It is independent of the on-disk encoding, so budgets, splits and
+// the partition count do not depend on how well a block compresses.
+uint64_t LayoutChargeBytes(const std::vector<EdgeRecord>& edges);
 
-// Decodes a whole partition file — block format v1 or legacy raw, detected
-// by the magic — appending to `*edges`. `path` is used only for error
-// messages. On failure `*edges` may hold a decoded prefix; callers should
-// treat the file as unusable.
+// Decodes a whole partition file, appending to `*edges`. `path` is used
+// only for error messages. On failure `*edges` may hold a decoded prefix;
+// callers should treat the file as unusable.
 PartitionDecodeStatus DecodePartitionBytes(const std::string& path,
                                            const std::vector<uint8_t>& bytes,
                                            std::vector<EdgeRecord>* edges);

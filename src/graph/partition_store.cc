@@ -7,6 +7,7 @@
 
 #include "src/graph/partition_codec.h"
 #include "src/obs/profiler.h"
+#include "src/support/byte_io.h"
 #include "src/support/event_hook.h"
 #include "src/support/logging.h"
 
@@ -20,8 +21,8 @@ constexpr uint64_t kMinCacheBytes = uint64_t{1} << 20;
 }  // namespace
 
 PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
-                               PartitionStorePipeline pipeline)
-    : dir_(std::move(dir)), metrics_(metrics), pipeline_(pipeline) {
+                               TaskRuntime* runtime, uint64_t budget_bytes)
+    : dir_(std::move(dir)), metrics_(metrics), runtime_(runtime), budget_bytes_(budget_bytes) {
   if (metrics_ != nullptr) {
     c_phase_io_ns_ = metrics_->Counter("phase_io_ns");
     c_bytes_read_ = metrics_->Counter("io_bytes_read");
@@ -30,22 +31,10 @@ PartitionStore::PartitionStore(std::string dir, obs::MetricsRegistry* metrics,
     c_writes_ = metrics_->Counter("io_partition_writes_total");
     c_appends_ = metrics_->Counter("io_partition_appends_total");
     c_splits_ = metrics_->Counter("io_partition_splits_total");
-    c_compressed_bytes_ = metrics_->Counter("io_compressed_bytes");
     c_prefetch_hits_ = metrics_->Counter("io_prefetch_hits_total");
     c_write_cache_hits_ = metrics_->Counter("io_write_cache_hits_total");
     c_prefetch_wasted_ = metrics_->Counter("io_prefetch_wasted_total");
     c_prefetch_issued_ = metrics_->Counter("io_prefetch_issued_total");
-  }
-  if (pipeline_.enabled) {
-    if (pipeline_.runtime != nullptr) {
-      runtime_ = pipeline_.runtime;
-    } else {
-      // Standalone store (tests, tools): no shared scheduler was provided,
-      // so spin up a private single-worker runtime. One worker makes every
-      // strand trivially serial, matching the legacy dedicated I/O thread.
-      owned_runtime_ = std::make_unique<TaskRuntime>(1);
-      runtime_ = owned_runtime_.get();
-    }
   }
   introspect_queue_depth_ = obs::Introspection::RegisterGaugeSource(
       "io_queue_depth", [this] { return static_cast<double>(queue_depth_.load(std::memory_order_relaxed)); });
@@ -66,11 +55,19 @@ std::string PartitionStore::FileFor(VertexId lo) const {
 }
 
 uint64_t PartitionStore::CacheCapacity() const {
-  return std::max(pipeline_.budget_bytes / 4, kMinCacheBytes);
+  return std::max(budget_bytes_ / 4, kMinCacheBytes);
 }
 
-void PartitionStore::Enqueue(const std::string& path, TaskLane lane,
-                             std::function<void()> fn) {
+void PartitionStore::RunOrQueue(const std::string& path, TaskLane lane,
+                                std::function<void()> fn) {
+  if (runtime_ == nullptr) {
+    // Inline I/O blocks the caller, so it is charged to the foreground "io"
+    // phase. A queued task is only queue bookkeeping here (plus the wake of
+    // a parked worker) and stays in whatever phase the caller is in.
+    obs::ProfPhase phase("io", metrics_, c_phase_io_ns_);
+    fn();
+    return;
+  }
   int64_t depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (metrics_ != nullptr) {
     metrics_->MaxGauge("io_queue_depth_peak", static_cast<double>(depth));
@@ -209,71 +206,42 @@ std::vector<EdgeRecord> PartitionStore::DecodeOrThrow(const std::string& path,
 uint64_t PartitionStore::WriteOrQueue(const std::string& path, std::vector<EdgeRecord> edges,
                                       bool rewrite,
                                       std::shared_ptr<const std::vector<EdgeRecord>>* content) {
-  if (!pipeline_.enabled) {
-    // Only the synchronous fallback blocks on the file system, so only it
-    // is charged to the foreground "io" phase. The pipelined handoff below
-    // is queue bookkeeping (plus the wake of a parked worker, which on a
-    // small machine is a preemption point that runs the flush) and stays
-    // in whatever phase the caller is in.
-    obs::ProfPhase phase("io", metrics_, c_phase_io_ns_);
-    std::vector<uint8_t> buffer;
-    for (const auto& edge : edges) {
-      SerializeEdge(edge, &buffer);
-    }
-    if (metrics_ != nullptr) {
-      metrics_->Add(c_bytes_written_, buffer.size());
-    }
-    std::string error;
-    bool ok = rewrite ? WriteFileBytes(path, buffer, &error) : AppendFileBytes(path, buffer, &error);
-    if (!ok) {
-      throw IoError("partition " + std::string(rewrite ? "write" : "append") + " failed: " +
-                    error);
-    }
-    return buffer.size();
-  }
-  // Write-behind: the caller only pays for handing the edges over; the
-  // block encode and the file write both run as a write-behind-lane task on
-  // the file's strand. Ownership is shared between the queued task and the
-  // caller's write-back cache entry, so no copy is made on either side.
-  // Metadata is charged the raw-format size so partition layout decisions
-  // are identical to the synchronous path.
-  uint64_t raw_bytes = RawFormatBytes(edges);
+  // Queued, the caller only pays for handing the edges over; the block
+  // encode and the file write both run on the file's strand. Ownership is
+  // shared between the task and the caller's write-back cache entry, so no
+  // copy is made on either side.
+  uint64_t charge = LayoutChargeBytes(edges);
   auto shared = std::make_shared<const std::vector<EdgeRecord>>(std::move(edges));
   if (content != nullptr) {
     *content = shared;
   }
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    ++pending_writes_[path];
-  }
-  Enqueue(path, TaskLane::kWriteBehind, [this, path, rewrite, edges = std::move(shared)] {
+  RunOrQueue(path, TaskLane::kWriteBehind, [this, path, rewrite, edges = std::move(shared)] {
     std::vector<uint8_t> buffer;
     if (rewrite) {
       AppendBlockFileHeader(&buffer);
     }
-    AppendEdgeBlock(*edges, &buffer, nullptr);
+    AppendEdgeBlock(*edges, &buffer);
     if (metrics_ != nullptr) {
       // Thread-sharded counters; safe off the foreground thread.
-      metrics_->Add(c_compressed_bytes_, buffer.size());
       metrics_->Add(c_bytes_written_, buffer.size());
     }
     std::string error;
     bool ok = rewrite ? WriteFileBytes(path, buffer, &error) : AppendFileBytes(path, buffer, &error);
-    if (!ok) {
-      // Worker thread: aborting here would take down the whole process for
-      // one checker's disk problem, and silently dropping the failure would
-      // let the run "complete" against missing bytes. Record it; the next
-      // foreground barrier (Sync/Load) rethrows it on the engine's thread.
-      RecordIoError("background partition " + std::string(rewrite ? "write" : "append") +
-                    " failed: " + error);
+    if (ok) {
+      return;
     }
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = pending_writes_.find(path);
-    if (it != pending_writes_.end() && --it->second == 0) {
-      pending_writes_.erase(it);
+    std::string message =
+        "partition " + std::string(rewrite ? "write" : "append") + " failed: " + error;
+    if (runtime_ == nullptr) {
+      throw IoError(message);
     }
+    // Worker thread: aborting here would take down the whole process for
+    // one checker's disk problem, and silently dropping the failure would
+    // let the run "complete" against missing bytes. Record it; the next
+    // foreground barrier (Sync/Load) rethrows it on the engine's thread.
+    RecordIoError("background " + message);
   });
-  return raw_bytes;
+  return charge;
 }
 
 void PartitionStore::WriteEdges(const std::string& path, std::vector<EdgeRecord> edges,
@@ -401,8 +369,8 @@ void PartitionStore::Hint(const std::vector<size_t>& next_indices) {
     // that file, so it observes the partition exactly as a foreground load
     // would. Prefetch lane: workers serve it after foreground joins but
     // ahead of write-behind backlog.
-    Enqueue(info.path, TaskLane::kPrefetch,
-            [this, path = info.path, version = info.version, edges_hint = info.edges] {
+    RunOrQueue(info.path, TaskLane::kPrefetch,
+               [this, path = info.path, version = info.version, edges_hint = info.edges] {
       std::vector<uint8_t> bytes;
       bool read_ok = ReadFileBytes(path, &bytes);
       if (read_ok && metrics_ != nullptr) {
@@ -434,57 +402,38 @@ std::vector<EdgeRecord> PartitionStore::Load(size_t index) {
   ThrowIfIoError();
   const PartitionInfo& info = partitions_[index];
   if (runtime_ != nullptr) {
-    bool pending = false;
-    {
+    // The current image, if the cache holds a ready one; the vector is
+    // copied out after the lock is released.
+    auto cached = [&]() -> std::shared_ptr<const std::vector<EdgeRecord>> {
       std::lock_guard<std::mutex> lock(cache_mutex_);
       auto it = cache_.find(info.path);
-      if (it != cache_.end() && it->second.version == info.version) {
-        if (it->second.ready && !it->second.failed) {
-          ++it->second.hits;
-          if (metrics_ != nullptr) {
-            metrics_->Add(it->second.from_prefetch ? c_prefetch_hits_ : c_write_cache_hits_);
-            metrics_->Add(c_loads_);
-          }
-          if (it->second.from_prefetch) {
-            evt::Emit(evt::kPrefetchHit, it->second.charge);
-          }
-          evt::Emit(evt::kPartitionLoad, index, info.bytes);
-          return *it->second.edges;  // copy; the entry stays until stale
-        }
-        pending = !it->second.ready;
+      if (it == cache_.end() || it->second.version != info.version || !it->second.ready ||
+          it->second.failed) {
+        return nullptr;
       }
-    }
-    if (pending) {
-      // The prefetch read is queued (or running) on this file's strand;
-      // wait it out instead of issuing a duplicate foreground read.
-      WaitForPath(info.path);
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = cache_.find(info.path);
-      if (it != cache_.end() && it->second.version == info.version && it->second.ready &&
-          !it->second.failed) {
-        ++it->second.hits;
-        if (metrics_ != nullptr) {
-          metrics_->Add(c_prefetch_hits_);
-          metrics_->Add(c_loads_);
-        }
+      ++it->second.hits;
+      if (metrics_ != nullptr) {
+        metrics_->Add(it->second.from_prefetch ? c_prefetch_hits_ : c_write_cache_hits_);
+        metrics_->Add(c_loads_);
+      }
+      if (it->second.from_prefetch) {
         evt::Emit(evt::kPrefetchHit, it->second.charge);
-        evt::Emit(evt::kPartitionLoad, index, info.bytes);
-        return *it->second.edges;
       }
+      evt::Emit(evt::kPartitionLoad, index, info.bytes);
+      return it->second.edges;  // the entry stays until stale
+    };
+    if (auto hit = cached()) {
+      return *hit;
     }
-    // Miss (or failed prefetch): read in the foreground. Only this file's
-    // strand has to drain, and only when the file has unfinished queued
-    // writes — other files' pending work cannot affect what this read
-    // returns, and now no longer delays it either.
-    bool pending_write;
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      pending_write = pending_writes_.count(info.path) > 0;
+    // Miss: wait out this file's strand (a no-op when it is idle), so its
+    // queued writes land and a queued prefetch read finishes instead of
+    // being duplicated. Other files' pending work cannot affect what this
+    // read returns, and does not delay it either.
+    WaitForPath(info.path);
+    if (auto hit = cached()) {
+      return *hit;
     }
-    if (pending_write) {
-      WaitForPath(info.path);
-      ThrowIfIoError();
-    }
+    ThrowIfIoError();
   }
   std::vector<uint8_t> bytes;
   std::string error;
@@ -601,13 +550,11 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
   if (checkpoint_mode_ && pinned_.count(original.path) > 0) {
     // Deferred: the last published manifest still references this file.
     retired_.push_back(original.path);
-  } else if (pipeline_.enabled) {
-    // Queued on the file's own strand so the removal happens after any
-    // pending append to it.
-    Enqueue(original.path, TaskLane::kWriteBehind,
-            [path = original.path] { RemoveFile(path); });
   } else {
-    RemoveFile(original.path);
+    // On the file's own strand when queued, so the removal happens after
+    // any pending append to it.
+    RunOrQueue(original.path, TaskLane::kWriteBehind,
+               [path = original.path] { RemoveFile(path); });
   }
   for (size_t i = 0; i < pieces.size(); ++i) {
     ++file_counter_;

@@ -7,24 +7,29 @@
 // compacts base + deltas. Oversized partitions are split ("repartitioning")
 // so that any two partitions still fit the memory budget together.
 //
-// Pipelined mode (see DESIGN.md, "Pipelined partition I/O"): when enabled,
-// every disk operation runs as a background task on the shared TaskRuntime
-// (DESIGN.md §14) — Rewrite/Append/SplitAndRewrite hand their edges to a
-// write-behind task, which encodes them (compact block format,
-// src/graph/partition_codec.h) and writes the file; Hint() queues
-// prefetch-lane read-ahead of upcoming partitions into a budget-bounded
-// cache — the same cache that retains just-written partition images
-// (write-back), so a Load of recently written or hinted data never touches
-// disk; a cold miss reads in the foreground, waiting first only when the
-// file itself has queued writes (tracked per path). Every task is submitted
-// onto the runtime's per-file serial strand (SubmitSerial keyed by path),
-// so a queued read always observes every earlier queued write to the same
-// file — different files proceed in parallel, but per-file order is the
-// legacy 1-thread-FIFO order, and results stay byte-identical to the
-// synchronous path. Metadata (bytes/edges/version/segments) is updated at
-// enqueue time on the caller's thread — charged at raw-format size in both
-// modes, so partition layout decisions are mode-independent — and is never
-// touched by background tasks.
+// Every file is written in one format (the block codec,
+// src/graph/partition_codec.h) by one routine, WriteOrQueue. Whether that
+// routine runs inline or in the background is the store's only mode, and it
+// is fixed by whether the constructor got a TaskRuntime:
+//
+//  * No runtime: each write encodes and hits the file system on the
+//    caller's thread, charged to the "io" phase; a failure throws IoError
+//    at the call. No cache, no read-ahead.
+//  * With a runtime (see DESIGN.md, "Pipelined partition I/O"): every disk
+//    operation runs as a task on the runtime's per-file serial strand
+//    (SubmitSerial keyed by path, DESIGN.md §14). Rewrite/Append/
+//    SplitAndRewrite hand their edges to a write-behind task; Hint() queues
+//    prefetch-lane read-ahead into a budget-bounded cache, the same cache
+//    that retains just-written partition images (write-back), so a Load of
+//    recently written or hinted data never touches disk. A cold miss waits
+//    out the file's own strand (a no-op when it is idle) and reads in the
+//    foreground. Per-file order is submission order, so a queued read
+//    always observes every earlier queued write to the same file; different
+//    files proceed in parallel.
+//
+// Both modes write byte-identical files. Metadata (bytes/edges/version/
+// segments) is updated on the caller's thread at the call, charged by
+// LayoutChargeBytes, and is never touched by background tasks.
 #ifndef GRAPPLE_SRC_GRAPH_PARTITION_STORE_H_
 #define GRAPPLE_SRC_GRAPH_PARTITION_STORE_H_
 
@@ -59,29 +64,18 @@ struct PartitionInfo {
   std::vector<std::pair<uint64_t, uint64_t>> segments;
 };
 
-// Pipelining knobs, normally filled in from EngineOptions. Default
-// construction means fully synchronous legacy behavior (raw record files,
-// no worker thread) — what existing tests construct.
-struct PartitionStorePipeline {
-  // Enables write-behind + prefetch + the compact block format.
-  bool enabled = false;
-  // The engine's memory budget. The prefetch cache is sized at budget/4 —
-  // one partition-target's worth of read-ahead.
-  uint64_t budget_bytes = uint64_t{64} << 20;
-  // Scheduler that executes the store's per-file I/O strands (non-owning;
-  // must outlive the store). Null with `enabled` set means the store spins
-  // up a private single-worker runtime — the standalone-test configuration.
-  TaskRuntime* runtime = nullptr;
-};
-
 class PartitionStore {
  public:
   // `dir` must exist; `metrics` (optional) receives io_* counters (bytes
-  // and operation counts), which keep their on-disk meaning in both modes,
-  // and "phase_io_ns" (foreground blocking time only — background worker
-  // time is deliberately excluded).
+  // and operation counts) and "phase_io_ns" (foreground blocking time only —
+  // background worker time is deliberately excluded). `runtime` (optional,
+  // non-owning, must outlive the store) runs the store's I/O in the
+  // background; null runs it inline. `budget_bytes` is the engine's memory
+  // budget: the cache is sized at budget/4, one partition-target's worth of
+  // read-ahead.
   explicit PartitionStore(std::string dir, obs::MetricsRegistry* metrics = nullptr,
-                          PartitionStorePipeline pipeline = {});
+                          TaskRuntime* runtime = nullptr,
+                          uint64_t budget_bytes = uint64_t{64} << 20);
   ~PartitionStore();
 
   // Creates the initial layout from base edges, targeting `target_bytes`
@@ -91,7 +85,7 @@ class PartitionStore {
   size_t NumPartitions() const { return partitions_.size(); }
   const PartitionInfo& Info(size_t index) const { return partitions_[index]; }
   VertexId num_vertices() const { return num_vertices_; }
-  bool pipeline_enabled() const { return pipeline_.enabled; }
+  bool pipeline_enabled() const { return runtime_ != nullptr; }
 
   // Where the engine's derivation-provenance log lives: next to the
   // partition files, so one work dir holds a run's full on-disk state.
@@ -101,8 +95,9 @@ class PartitionStore {
   size_t PartitionOf(VertexId v) const;
 
   // Reads a partition (base file including appended deltas). In pipelined
-  // mode the prefetch cache is consulted first; a miss waits out the file's
-  // own strand (so pending writes to it land) and reads in the foreground.
+  // mode the cache is consulted first; a miss waits out the file's own
+  // strand (so pending writes and reads of it land) and reads in the
+  // foreground.
   std::vector<EdgeRecord> Load(size_t index);
 
   // Rewrites a partition's file with exactly `edges`.
@@ -204,29 +199,29 @@ class PartitionStore {
   };
 
   std::string FileFor(VertexId lo) const;
-  // Writes `edges` to the file (`rewrite` truncates, else appends) — either
-  // synchronously in raw format, or queued to the worker which encodes the
-  // block format and writes behind the caller's back. Returns the
-  // raw-format byte count in both modes (the metadata charge), so layout
-  // decisions never depend on the mode; on-disk counters (io_bytes_written,
-  // io_compressed_bytes) are bumped where the write actually happens.
-  // `content` (optional, pipelined mode only) receives shared ownership of
-  // the written edges, for the caller to install as a write-back cache
-  // entry once it knows the new partition version.
+  // Encodes `edges` as one block and writes it to the file (`rewrite`
+  // truncates and writes the file header first, else appends). Inline with
+  // no runtime, throwing IoError on failure; else queued on the file's
+  // strand in the write-behind lane, a failure surfacing at the next
+  // Sync()/Load(). Returns the LayoutChargeBytes charge either way.
+  // `content` (optional) receives shared ownership of the written edges,
+  // for the caller to install as a write-back cache entry once it knows the
+  // new partition version.
   uint64_t WriteOrQueue(const std::string& path, std::vector<EdgeRecord> edges, bool rewrite,
                         std::shared_ptr<const std::vector<EdgeRecord>>* content = nullptr);
   void WriteEdges(const std::string& path, std::vector<EdgeRecord> edges, uint64_t* bytes,
                   std::shared_ptr<const std::vector<EdgeRecord>>* content = nullptr);
   // Installs a ready write-back entry for `path` at `version`, if the cache
-  // has room. No-op in legacy mode or when `content` is null.
+  // has room. No-op without a runtime or when `content` is null.
   void CachePut(const std::string& path, uint64_t version, uint64_t charge,
                 std::shared_ptr<const std::vector<EdgeRecord>> content);
-  // Queues `fn` on `path`'s serial strand in `lane`, maintaining the
-  // queue-depth gauge and the per-path pending-op count Sync() drains. The
-  // task body re-installs the submitting thread's checker context plus an
-  // "io" profiler phase so samples taken on a shared worker attribute to
-  // the right (checker, io) bucket.
-  void Enqueue(const std::string& path, TaskLane lane, std::function<void()> fn);
+  // Runs `fn` for `path`: inline under the foreground "io" phase when there
+  // is no runtime, else queued on `path`'s serial strand in `lane`,
+  // maintaining the queue-depth gauge and the per-path pending-op count
+  // Sync() drains. The queued body re-installs the submitting thread's
+  // checker context plus an "io" profiler phase so samples taken on a
+  // shared worker attribute to the right (checker, io) bucket.
+  void RunOrQueue(const std::string& path, TaskLane lane, std::function<void()> fn);
   // Blocks until `path`'s strand is empty (no-op when it already is).
   // Blocked time is bracketed as kWaitIoQueue — the Load() wait.
   void WaitForPath(const std::string& path);
@@ -256,12 +251,13 @@ class PartitionStore {
   obs::MetricId c_writes_ = obs::kInvalidMetric;
   obs::MetricId c_appends_ = obs::kInvalidMetric;
   obs::MetricId c_splits_ = obs::kInvalidMetric;
-  obs::MetricId c_compressed_bytes_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_hits_ = obs::kInvalidMetric;
   obs::MetricId c_write_cache_hits_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_wasted_ = obs::kInvalidMetric;
   obs::MetricId c_prefetch_issued_ = obs::kInvalidMetric;
-  PartitionStorePipeline pipeline_;
+  // Strand executor (non-owning). Null means inline I/O.
+  TaskRuntime* const runtime_;
+  const uint64_t budget_bytes_;
   VertexId num_vertices_ = 0;
   std::vector<PartitionInfo> partitions_;  // sorted by lo, contiguous
   uint64_t file_counter_ = 0;
@@ -277,35 +273,25 @@ class PartitionStore {
   std::mutex io_error_mutex_;
   std::string io_error_;
 
-  // --- pipelined-mode state. `cache_mutex_` guards `cache_`,
-  // `pending_writes_`, and `pending_ops_`; everything else below is
-  // foreground-only. The destructor drains every strand (DrainAll) while
-  // the rest of the store is alive; the owned fallback runtime is the last
-  // member so its worker joins happen before anything else is torn down.
+  // --- pipelined-mode state. `cache_mutex_` guards `cache_` and
+  // `pending_ops_`; everything else below is foreground-only. The
+  // destructor drains every strand (DrainAll) while the rest of the store is
+  // alive.
   std::mutex cache_mutex_;
   std::unordered_map<std::string, CacheEntry> cache_;
-  // Count of queued-but-unfinished writes per file. A Load miss only has to
-  // wait out the file's strand when it appears here; otherwise the on-disk
-  // bytes are complete and the read can proceed immediately.
-  std::unordered_map<std::string, uint64_t> pending_writes_;
   // Count of queued-but-unfinished tasks of any kind (write, prefetch read,
   // deferred delete) per file: the work list Sync() and the destructor
-  // drain. Superset of pending_writes_.
+  // drain.
   std::unordered_map<std::string, uint64_t> pending_ops_;
   uint64_t cache_bytes_ = 0;  // foreground-only: sum of charges
   std::atomic<int64_t> queue_depth_{0};
   // Mirror of cache_bytes_ for the /statusz scrape thread: cache_bytes_
   // itself is foreground-only, so scrapes read this relaxed copy instead.
   std::atomic<uint64_t> live_cache_bytes_{0};
-  // Introspection registrations. Declared after the atomics they read (so
-  // they unregister first in reverse destruction order) but before the
-  // runtime members: the gauge callbacks never touch the runtime.
+  // Introspection registrations. Declared after the atomics they read, so
+  // they unregister first in reverse destruction order.
   obs::Introspection::Handle introspect_queue_depth_;
   obs::Introspection::Handle introspect_cache_bytes_;
-  // Strand executor: `runtime_` points at pipeline_.runtime when the owner
-  // shared one, else at the private fallback. Null iff pipelining is off.
-  std::unique_ptr<TaskRuntime> owned_runtime_;
-  TaskRuntime* runtime_ = nullptr;
 };
 
 }  // namespace grapple

@@ -290,24 +290,5 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    for (auto& counter : shard->counters) {
-      counter.store(0, std::memory_order_relaxed);
-    }
-    for (auto& hist : shard->hists) {
-      hist.count.store(0, std::memory_order_relaxed);
-      hist.sum.store(0, std::memory_order_relaxed);
-      hist.min.store(UINT64_MAX, std::memory_order_relaxed);
-      hist.max.store(0, std::memory_order_relaxed);
-      for (auto& bucket : hist.buckets) {
-        bucket.store(0, std::memory_order_relaxed);
-      }
-    }
-  }
-  gauges_.clear();
-}
-
 }  // namespace obs
 }  // namespace grapple

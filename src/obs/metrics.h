@@ -98,9 +98,6 @@ class MetricsRegistry {
   // included (relaxed); totals are exact once writers have quiesced.
   MetricsSnapshot Snapshot() const;
 
-  // Zeroes all shards and gauges (names/ids stay registered).
-  void Reset();
-
  private:
   struct Shard;
 

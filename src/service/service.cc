@@ -175,18 +175,14 @@ constexpr size_t kLatencyWindow = 2048;
 }  // namespace
 
 uint64_t SubjectFingerprint(const std::string& tenant, const std::string& subject_text) {
-  uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64
-  auto mix = [&hash](const std::string& text) {
-    for (unsigned char c : text) {
-      hash ^= c;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(tenant);
-  hash ^= 0;  // explicit separator byte
-  hash *= 1099511628211ULL;
-  mix(subject_text);
-  return hash;
+  // FNV-1a 64 from this function's own basis (not kFnv1aOffset64), so
+  // fingerprints, and the session dirs named after them, stay stable.
+  constexpr uint8_t kSeparator = 0;
+  uint64_t hash = Fnv1a64(reinterpret_cast<const uint8_t*>(tenant.data()), tenant.size(),
+                          1469598103934665603ULL);
+  hash = Fnv1a64(&kSeparator, 1, hash);
+  return Fnv1a64(reinterpret_cast<const uint8_t*>(subject_text.data()), subject_text.size(),
+                 hash);
 }
 
 ServiceOptions ServiceOptions::FromEnv() {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "src/support/byte_io.h"
 #include "src/support/env.h"
 #include "src/support/event_hook.h"
 #include "src/support/timer.h"
@@ -12,11 +13,8 @@ namespace {
 // FNV-1a over the strand key, used as its pumps' affinity: one file's I/O
 // tasks home on one worker.
 uint64_t HashKey(const std::string& key) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
+  uint64_t h = Fnv1a64(reinterpret_cast<const uint8_t*>(key.data()), key.size(),
+                       1469598103934665603ull);
   return h == 0 ? 1 : h;  // 0 means "no affinity"
 }
 

@@ -304,6 +304,27 @@ TEST_F(CheckpointEngineTest, CorruptManifestFallsBackToCleanRestart) {
   EXPECT_EQ(first, third);
 }
 
+TEST_F(CheckpointEngineTest, V1ManifestIsRefusedAsVersionSkew) {
+  TempDir dir("ckpt-v1");
+  auto [first, first_resumed] = RunOnce(dir.path());
+  EXPECT_EQ(first_resumed, 0u);
+  // Stamp the manifest as v1, the version whose partition files could be
+  // headerless record streams this build no longer reads. The checksum
+  // covers only the payload, so the version is the manifest's sole defect.
+  std::string manifest_path = CheckpointManifestPath(dir.path());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(manifest_path, &bytes));
+  ASSERT_EQ(bytes[8], kCheckpointFormatVersion);
+  bytes[8] = 1;  // the fixed32 format version follows the 8-byte magic
+  ASSERT_TRUE(WriteFileBytes(manifest_path, bytes));
+  ::testing::internal::CaptureStderr();
+  auto [second, second_resumed] = RunOnce(dir.path());
+  std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("format version skew: file has v1"), std::string::npos) << log;
+  EXPECT_EQ(second_resumed, 0u);
+  EXPECT_EQ(first, second);
+}
+
 TEST_F(CheckpointEngineTest, TruncatedPartitionFileFallsBackToCleanRestart) {
   TempDir dir("ckpt-shortpart");
   auto [first, first_resumed] = RunOnce(dir.path());
@@ -355,9 +376,8 @@ class StoreFailureTest : public ::testing::Test {
 
 TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtSync) {
   TempDir dir("store-bgfail");
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, pipeline);
+  TaskRuntime runtime(1);
+  PartitionStore store(dir.path(), nullptr, &runtime);
   store.Initialize(SomeEdges(32), 40, 1 << 20);
   ASSERT_EQ(store.NumPartitions(), 1u);
   // Every write to a partition file now fails hard; the worker must record
@@ -377,9 +397,8 @@ TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtSync) {
 
 TEST_F(StoreFailureTest, BackgroundWriteFailureSurfacesAtLoad) {
   TempDir dir("store-bgfail-load");
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore store(dir.path(), nullptr, pipeline);
+  TaskRuntime runtime(1);
+  PartitionStore store(dir.path(), nullptr, &runtime);
   store.Initialize(SomeEdges(32), 40, 1 << 20);
   ASSERT_TRUE(fault::Configure("fail@write#1+:path=part-"));
   store.Rewrite(0, SomeEdges(16));

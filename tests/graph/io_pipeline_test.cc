@@ -1,8 +1,10 @@
-// Pipelined partition I/O: block codec round trips, legacy read-back,
-// prefetch/write-behind semantics, and — the load-bearing guarantee —
-// byte-identical results with the pipeline on and off.
+// Partition I/O: block codec round trips, prefetch/write-behind semantics,
+// and — the load-bearing guarantee — byte-identical files and results with
+// background I/O on and off.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <set>
 
 #include "src/cfg/call_graph.h"
@@ -51,11 +53,9 @@ TEST(IoPipelineTest, BlockCodecRoundTrip) {
   }
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  uint64_t raw_bytes = 0;
-  AppendEdgeBlock(edges, &file, &raw_bytes);
-  EXPECT_EQ(raw_bytes, RawFormatBytes(edges));
-  EXPECT_LT(file.size(), raw_bytes);  // dedup + deltas must actually shrink
-  ASSERT_TRUE(HasBlockFileHeader(file));
+  AppendEdgeBlock(edges, &file);
+  // Dedup + deltas must actually shrink the block below the layout charge.
+  EXPECT_LT(file.size(), LayoutChargeBytes(edges));
 
   std::vector<EdgeRecord> decoded;
   PartitionDecodeStatus status = DecodePartitionBytes("test.edges", file, &decoded);
@@ -70,8 +70,8 @@ TEST(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
   std::vector<EdgeRecord> second = {MakeEdge(1, 9, 3, 12), MakeEdge(0, 0, 1)};
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  AppendEdgeBlock(first, &file, nullptr);
-  AppendEdgeBlock(second, &file, nullptr);
+  AppendEdgeBlock(first, &file);
+  AppendEdgeBlock(second, &file);
 
   std::vector<EdgeRecord> expected = first;
   expected.insert(expected.end(), second.begin(), second.end());
@@ -81,37 +81,53 @@ TEST(IoPipelineTest, BlockCodecPreservesUnsortedOrderAndMultipleBlocks) {
   EXPECT_TRUE(SameEdges(expected, decoded));
 }
 
-TEST(IoPipelineTest, LegacyRawFormatReadsBackTransparently) {
-  std::vector<EdgeRecord> edges = {MakeEdge(0, 1, 1), MakeEdge(5, 2, 3, 0), MakeEdge(5, 9, 2)};
+TEST(IoPipelineTest, HeaderlessRecordStreamIsRejected) {
+  // A bare varint record stream (src, dst, label, payload length, payload)
+  // has no GRPB header; it is not a partition file.
   std::vector<uint8_t> raw;
-  for (const auto& edge : edges) {
-    SerializeEdge(edge, &raw);
+  for (uint64_t field : {0, 1, 1, 4}) {
+    PutVarint64(&raw, field);
   }
+  raw.insert(raw.end(), 4, 0x07);
   std::vector<EdgeRecord> decoded;
-  PartitionDecodeStatus status = DecodePartitionBytes("legacy.edges", raw, &decoded);
-  ASSERT_TRUE(status.ok) << status.error;
-  EXPECT_TRUE(SameEdges(edges, decoded));
+  PartitionDecodeStatus status = DecodePartitionBytes("bare.edges", raw, &decoded);
+  ASSERT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("missing block-file header"), std::string::npos) << status.error;
+  EXPECT_NE(status.error.find("bare.edges at offset 0"), std::string::npos) << status.error;
+  EXPECT_TRUE(decoded.empty());
 }
 
 TEST(IoPipelineTest, EmptyWriteIsHeaderOnly) {
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  AppendEdgeBlock({}, &file, nullptr);
+  AppendEdgeBlock({}, &file);
   EXPECT_EQ(file.size(), kBlockFileHeaderSize);
   std::vector<EdgeRecord> decoded;
   EXPECT_TRUE(DecodePartitionBytes("empty.edges", file, &decoded).ok);
   EXPECT_TRUE(decoded.empty());
 }
 
-// Runs the same mutation sequence against a synchronous store and a
-// pipelined one; every observable (loads, metadata, history) must agree.
+// Every part-*.edges file under `dir`, by name, with its bytes.
+std::map<std::string, std::vector<uint8_t>> PartitionFiles(const std::string& dir) {
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("part-", 0) == 0) {
+      EXPECT_TRUE(ReadFileBytes(entry.path().string(), &files[name]));
+    }
+  }
+  return files;
+}
+
+// Runs the same mutation sequence against an inline store and a pipelined
+// one; every observable (loads, metadata, history, file bytes) must agree.
 TEST(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
   TempDir sync_dir("iopipe-sync");
   TempDir pipe_dir("iopipe-pipe");
+  TaskRuntime runtime(1);
   PartitionStore sync_store(sync_dir.path());
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore pipe_store(pipe_dir.path(), nullptr, pipeline);
+  PartitionStore pipe_store(pipe_dir.path(), nullptr, &runtime);
+  ASSERT_FALSE(sync_store.pipeline_enabled());
   ASSERT_TRUE(pipe_store.pipeline_enabled());
 
   auto drive = [](PartitionStore* store) {
@@ -134,7 +150,7 @@ TEST(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
 
   ASSERT_EQ(sync_store.NumPartitions(), pipe_store.NumPartitions());
   EXPECT_EQ(sync_store.TotalEdges(), pipe_store.TotalEdges());
-  // Metadata charges raw-format bytes in both modes, so layout decisions
+  // Metadata charges LayoutChargeBytes in both modes, so layout decisions
   // (and the bookkeeping itself) are mode-independent.
   EXPECT_EQ(sync_store.TotalBytes(), pipe_store.TotalBytes());
   for (size_t p = 0; p < sync_store.NumPartitions(); ++p) {
@@ -146,26 +162,18 @@ TEST(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
     EXPECT_TRUE(SameEdges(sync_store.Load(p), pipe_store.Load(p)))
         << "partition " << p << " diverged";
   }
-  // The block format must beat the raw format where it counts: on disk.
+  // One format, one write routine: the files themselves are identical.
   pipe_store.Sync();
-  auto disk_bytes = [](const PartitionStore& store) {
-    uint64_t total = 0;
-    for (size_t p = 0; p < store.NumPartitions(); ++p) {
-      std::vector<uint8_t> bytes;
-      EXPECT_TRUE(ReadFileBytes(store.Info(p).path, &bytes));
-      total += bytes.size();
-    }
-    return total;
-  };
-  EXPECT_LT(disk_bytes(pipe_store), disk_bytes(sync_store));
+  auto sync_files = PartitionFiles(sync_dir.path());
+  EXPECT_FALSE(sync_files.empty());
+  EXPECT_EQ(sync_files, PartitionFiles(pipe_dir.path()));
 }
 
 TEST(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
   TempDir dir("iopipe-hint");
   obs::MetricsRegistry metrics;
-  PartitionStorePipeline pipeline;
-  pipeline.enabled = true;
-  PartitionStore store(dir.path(), &metrics, pipeline);
+  TaskRuntime runtime(1);
+  PartitionStore store(dir.path(), &metrics, &runtime);
   std::vector<EdgeRecord> base;
   for (VertexId v = 0; v < 64; ++v) {
     base.push_back(MakeEdge(v, v, 1, 64));
@@ -209,8 +217,8 @@ TEST(IoPipelineTest, HintPrefetchesAndCountsHitsAndWaste) {
 }
 
 // A chain + extra edges under a tiny budget forces appends, rewrites, and
-// splits; the resulting edge files must be bit-for-bit equivalent in
-// content between the two modes.
+// splits; the two modes must derive the same edges and leave the same
+// partition files, name for name and byte for byte.
 TEST(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
   constexpr char kSource[] = R"(
     method m(int x) {
@@ -253,15 +261,18 @@ TEST(IoPipelineTest, EngineResultsAreByteIdenticalAcrossModes) {
     }
     engine.Finalize(n);
     engine.Run();
-    std::vector<uint8_t> dump;
-    engine.ForEachEdge([&](const EdgeRecord& e) { SerializeEdge(e, &dump); });
-    return std::make_pair(dump, engine.Metrics().CounterOr("engine_final_edges_total"));
+    std::vector<EdgeRecord> edges;
+    engine.ForEachEdge([&](const EdgeRecord& e) { edges.push_back(e); });
+    EXPECT_GT(engine.Metrics().CounterOr("io_partition_splits_total"), 0u);
+    return std::make_pair(edges, PartitionFiles(dir.path()));
   };
 
-  auto [off_dump, off_edges] = run(false);
-  auto [on_dump, on_edges] = run(true);
-  EXPECT_EQ(off_edges, on_edges);
-  EXPECT_EQ(off_dump, on_dump);
+  auto [off_edges, off_files] = run(false);
+  auto [on_edges, on_files] = run(true);
+  EXPECT_FALSE(off_edges.empty());
+  EXPECT_TRUE(SameEdges(off_edges, on_edges));
+  EXPECT_FALSE(off_files.empty());
+  EXPECT_EQ(off_files, on_files);
 }
 
 TEST(IoPipelineTest, FacadeReportsAreByteIdenticalAcrossModes) {

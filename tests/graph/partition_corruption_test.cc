@@ -9,6 +9,7 @@
 #include "src/graph/partition_store.h"
 #include "src/obs/provenance.h"
 #include "src/support/byte_io.h"
+#include "src/support/task_runtime.h"
 
 namespace grapple {
 namespace {
@@ -25,7 +26,7 @@ EdgeRecord MakeEdge(VertexId src, VertexId dst, Label label, size_t payload_size
 std::vector<uint8_t> EncodeBlockFile(const std::vector<EdgeRecord>& edges) {
   std::vector<uint8_t> file;
   AppendBlockFileHeader(&file);
-  AppendEdgeBlock(edges, &file, nullptr);
+  AppendEdgeBlock(edges, &file);
   return file;
 }
 
@@ -68,33 +69,49 @@ TEST(PartitionCorruptionTest, UnknownFormatVersionIsRejected) {
   EXPECT_NE(status.error.find("version 99"), std::string::npos) << status.error;
 }
 
-TEST(PartitionCorruptionTest, CorruptLengthCannotDriveHugeAllocation) {
-  // A raw-format record whose payload-length varint wildly exceeds the file
-  // must fail cleanly (the old reader resized first and asked questions
-  // later).
-  std::vector<uint8_t> raw;
-  PutVarint64(&raw, 1);                      // src
-  PutVarint64(&raw, 2);                      // dst
-  PutVarint64(&raw, 3);                      // label
-  PutVarint64(&raw, uint64_t{1} << 40);      // payload length: 1 TB
-  raw.push_back(0xAB);                       // one actual byte
-  std::vector<EdgeRecord> decoded;
-  PartitionDecodeStatus status = DecodePartitionBytes("huge.edges", raw, &decoded);
-  ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("huge.edges"), std::string::npos) << status.error;
-  EXPECT_NE(status.error.find("offset 0"), std::string::npos) << status.error;
+// A block whose header claims 2^40 edges and payloads over an empty body,
+// with a valid checksum for that empty body: 26 bytes in all.
+std::vector<uint8_t> HostileHeaderFile() {
+  std::vector<uint8_t> file;
+  AppendBlockFileHeader(&file);
+  PutVarint64(&file, uint64_t{1} << 40);  // edge_count
+  PutVarint64(&file, uint64_t{1} << 40);  // payload_count
+  PutVarint64(&file, 0);                  // body_len
+  PutFixed64(&file, Fnv1a64(nullptr, 0));
+  return file;
 }
 
-TEST(PartitionCorruptionTest, TruncatedRawFileNamesOffsetOfBadRecord) {
-  std::vector<uint8_t> raw;
-  SerializeEdge(MakeEdge(1, 2, 3), &raw);
-  size_t good = raw.size();
-  SerializeEdge(MakeEdge(4, 5, 6), &raw);
-  raw.resize(good + 2);  // tear the second record
+TEST(PartitionCorruptionTest, CountsTheBodyCannotHoldAreRejectedBeforeAllocating) {
+  std::vector<uint8_t> file = HostileHeaderFile();
+  ASSERT_EQ(file.size(), 26u);
   std::vector<EdgeRecord> decoded;
-  PartitionDecodeStatus status = DecodePartitionBytes("torn.edges", raw, &decoded);
+  PartitionDecodeStatus status = DecodePartitionBytes("hostile.edges", file, &decoded);
   ASSERT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("offset " + std::to_string(good)), std::string::npos)
+  EXPECT_NE(status.error.find("implausible block header"), std::string::npos) << status.error;
+  EXPECT_NE(status.error.find("hostile.edges at offset 5"), std::string::npos) << status.error;
+}
+
+TEST(PartitionCorruptionTest, CorruptLengthCannotDriveHugeAllocation) {
+  // A checksum-valid block whose payload suffix length wildly exceeds the
+  // body must fail cleanly rather than size a buffer from it.
+  std::vector<uint8_t> body;
+  PutVarint64(&body, 0);                  // shared prefix
+  PutVarint64(&body, uint64_t{1} << 40);  // suffix length: 1 TB
+  body.push_back(0xAB);                   // one actual byte
+  std::vector<uint8_t> file;
+  AppendBlockFileHeader(&file);
+  PutVarint64(&file, 1);  // edge_count
+  PutVarint64(&file, 1);  // payload_count
+  PutVarint64(&file, body.size());
+  size_t body_offset = file.size();
+  file.insert(file.end(), body.begin(), body.end());
+  PutFixed64(&file, Fnv1a64(body.data(), body.size()));
+  std::vector<EdgeRecord> decoded;
+  PartitionDecodeStatus status = DecodePartitionBytes("huge.edges", file, &decoded);
+  ASSERT_FALSE(status.ok);
+  EXPECT_NE(status.error.find("corrupt payload-table entry"), std::string::npos) << status.error;
+  EXPECT_NE(status.error.find("huge.edges at offset " + std::to_string(body_offset)),
+            std::string::npos)
       << status.error;
 }
 
@@ -104,10 +121,9 @@ TEST(PartitionCorruptionTest, StoreLoadThrowsDiagnosticOnCorruptFile) {
   std::vector<EdgeRecord> edges = SampleEdges();
   store.Initialize(edges, 40, 1 << 20);
   ASSERT_EQ(store.NumPartitions(), 1u);
-  // Bit-flip a length varint in the middle of the raw file.
+  // Tear the tail off the file's only block.
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(ReadFileBytes(store.Info(0).path, &bytes));
-  bytes[bytes.size() / 2] |= 0x80;
   bytes.resize(bytes.size() - 3);
   ASSERT_TRUE(WriteFileBytes(store.Info(0).path, bytes));
   // A catchable IoError (not an abort), so the facade can isolate the
@@ -118,9 +134,44 @@ TEST(PartitionCorruptionTest, StoreLoadThrowsDiagnosticOnCorruptFile) {
   } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("partition file corrupt"), std::string::npos)
         << e.what();
-    EXPECT_NE(std::string(e.what()).find("truncated or corrupt raw edge record"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("truncated block body"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(PartitionCorruptionTest, StoreRejectsHostileBlockHeaderInBothModes) {
+  TempDir dir("corrupt-hostile");
+  {
+    PartitionStore store(dir.path());
+    store.Initialize(SampleEdges(), 40, 1 << 20);
+    ASSERT_TRUE(WriteFileBytes(store.Info(0).path, HostileHeaderFile()));
+    try {
+      store.Load(0);
+      FAIL() << "Load of a hostile partition file did not throw";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("implausible block header"), std::string::npos)
+          << e.what();
+    }
+  }
+  TaskRuntime runtime(1);
+  {
+    PartitionStore store(dir.path(), nullptr, &runtime);
+    store.Initialize(SampleEdges(), 40, 1 << 20);
+    // Drop the write-back image so the hint has to read the file.
+    store.Append(0, {MakeEdge(0, 1, 1)});
+    store.Sync();
+    ASSERT_TRUE(WriteFileBytes(store.Info(0).path, HostileHeaderFile()));
+    // The prefetch read fails to decode and leaves the diagnosis to Load;
+    // Sync and the destructor still return.
+    store.Hint({0});
+    store.Sync();
+    try {
+      store.Load(0);
+      FAIL() << "Load of a hostile partition file did not throw";
+    } catch (const IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("implausible block header"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -15,23 +15,6 @@ EdgeRecord MakeEdge(VertexId src, VertexId dst, Label label, size_t payload_size
   return edge;
 }
 
-TEST(EdgeRecordTest, SerializeRoundTrip) {
-  std::vector<uint8_t> buffer;
-  EdgeRecord a = MakeEdge(1, 2, 3, 10);
-  EdgeRecord b = MakeEdge(100000, 5, 200, 0);
-  SerializeEdge(a, &buffer);
-  SerializeEdge(b, &buffer);
-  ByteReader reader(buffer);
-  EdgeRecord out;
-  ASSERT_TRUE(DeserializeEdge(&reader, &out));
-  EXPECT_EQ(out.src, a.src);
-  EXPECT_EQ(out.payload, a.payload);
-  ASSERT_TRUE(DeserializeEdge(&reader, &out));
-  EXPECT_EQ(out.src, b.src);
-  EXPECT_TRUE(out.payload.empty());
-  EXPECT_FALSE(DeserializeEdge(&reader, &out));  // end of stream
-}
-
 TEST(EdgeRecordTest, ContentHashDistinguishesPayloads) {
   EdgeRecord a = MakeEdge(1, 2, 3);
   EdgeRecord b = MakeEdge(1, 2, 3);

@@ -142,23 +142,6 @@ TEST(MetricsRegistryTest, GaugesSetAndMax) {
   EXPECT_DOUBLE_EQ(snapshot.GaugeOr("peak"), 5);
 }
 
-TEST(MetricsRegistryTest, ResetZeroesEverything) {
-  MetricsRegistry registry;
-  MetricId counter = registry.Counter("c");
-  MetricId hist = registry.Histogram("h");
-  registry.Add(counter, 9);
-  registry.Observe(hist, 100);
-  registry.SetGauge("g", 1);
-  registry.Reset();
-  MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.CounterOr("c"), 0u);
-  EXPECT_EQ(snapshot.histograms.at("h").count, 0u);
-  EXPECT_DOUBLE_EQ(snapshot.GaugeOr("g", -1), -1);
-  // Still usable after reset.
-  registry.Add(counter, 2);
-  EXPECT_EQ(registry.Snapshot().CounterOr("c"), 2u);
-}
-
 TEST(MetricsSnapshotTest, MergeSumsCountersAndMaxesGauges) {
   MetricsSnapshot a;
   a.counters["n"] = 3;

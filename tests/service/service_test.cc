@@ -110,6 +110,15 @@ std::string BodyOf(const std::string& response) {
   return pos == std::string::npos ? std::string() : response.substr(pos + 4);
 }
 
+// Session dirs are named after the fingerprint, so its values are pinned:
+// a change of hash here would orphan every resident session dir.
+TEST(SubjectFingerprintTest, ValuesArePinned) {
+  EXPECT_EQ(SubjectFingerprint("acme", "method main() {\n  return\n}\n"),
+            0x60bdfe1da67f414cULL);
+  EXPECT_EQ(SubjectFingerprint("", ""), 0x44bd2bd473ccf799ULL);
+  EXPECT_NE(SubjectFingerprint("a", "b"), SubjectFingerprint("ab", ""));
+}
+
 class ServiceTest : public ::testing::Test {
  protected:
   void StartService(ServiceOptions options) {
