@@ -11,10 +11,11 @@
 // renders each bug's decoded derivation witness — the step-by-step
 // counterexample trace recovered from edge-induction provenance, annotated
 // with FSM states, source lines, and the path constraint that makes the
-// trace feasible. --work-dir keeps partition spills (and, with
-// GRAPPLE_CHECKPOINT=on, checkpoint manifests — a killed run rerun with the
-// same arguments resumes; see DESIGN.md §11) in a persistent directory
-// instead of a private temp dir. The program input uses the IR text format
+// trace feasible. --work-dir puts the engines' work dirs in a persistent
+// directory instead of a private temp dir. Each engine run removes its dir
+// when it ends, unless GRAPPLE_CHECKPOINT=on: then partition spills and
+// checkpoint manifests are kept, and a killed run rerun with the same
+// arguments resumes (see DESIGN.md §11). The program input uses the IR text format
 // (see src/ir/parser.h for the grammar); example files live in
 // examples/testdata/.
 //

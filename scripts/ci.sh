@@ -38,9 +38,10 @@
 #                            # two-tenant burst through grapple-client with
 #                            # /statusz + /metricsz scraped mid-run, every
 #                            # response byte-compared against a cold
-#                            # one-shot analyze_file --json run, then a
-#                            # SIGTERM shutdown that must exit 0 and leave
-#                            # no work dirs behind
+#                            # one-shot analyze_file --json run, no file
+#                            # left under the work root by the warm checks,
+#                            # then a SIGTERM shutdown that must exit 0 and
+#                            # leave no work dirs behind
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -443,6 +444,15 @@ assert sessions["resident"] == 2, sessions
 PY
   "${client}" --port "${port}" --tenant alpha "${subject}" > "${out_dir}/envelope.json"
   grep -q '"warm":true' "${out_dir}/envelope.json"
+
+  echo "==> [service] warm checks left no files under the work root"
+  local leftover
+  leftover="$(find "${work_root}" -type f)"
+  if [[ -n "${leftover}" ]]; then
+    echo "service: engine runs left files under ${work_root}:" >&2
+    echo "${leftover}" >&2
+    return 1
+  fi
 
   echo "==> [service] SIGTERM shutdown"
   kill -TERM "${daemon_pid}"

@@ -70,12 +70,8 @@ struct AliasGraph::MethodShape {
 AliasGraph::~AliasGraph() = default;
 
 AliasGraph::AliasGraph(const Program& program, const CallGraph& call_graph, const Icfet& icfet,
-                       const PointsToLabels& labels, EdgeSink* engine)
-    : program_(program),
-      call_graph_(call_graph),
-      icfet_(icfet),
-      labels_(labels),
-      engine_(engine) {
+                       const PointsToLabels& labels, EdgeSink* sink)
+    : program_(program), call_graph_(call_graph), icfet_(icfet), labels_(labels) {
   for (size_t i = 0; i < labels_.fields.size(); ++i) {
     field_index_[labels_.fields[i]] = i;
   }
@@ -87,14 +83,14 @@ AliasGraph::AliasGraph(const Program& program, const CallGraph& call_graph, cons
   // bodies instantiate so SCC cycles terminate.
   for (MethodId m : call_graph_.BottomUpOrder()) {
     if (call_graph_.IsRecursive(m) && shared_instance_.find(m) == shared_instance_.end()) {
-      Instantiate(m, kNoClone, kNoCallSite, /*shared=*/true);
+      Instantiate(m, kNoClone, kNoCallSite, /*shared=*/true, sink);
     }
   }
   for (MethodId m : call_graph_.EntryMethods()) {
     if (call_graph_.IsRecursive(m)) {
       entry_clones_.push_back(shared_instance_.at(m));
     } else {
-      entry_clones_.push_back(Instantiate(m, kNoClone, kNoCallSite, /*shared=*/false));
+      entry_clones_.push_back(Instantiate(m, kNoClone, kNoCallSite, /*shared=*/false, sink));
     }
   }
 }
@@ -332,7 +328,8 @@ void AliasGraph::BuildShape(MethodId m) {
   }
 }
 
-uint32_t AliasGraph::Instantiate(MethodId m, uint32_t parent, CallSiteId via_site, bool shared) {
+uint32_t AliasGraph::Instantiate(MethodId m, uint32_t parent, CallSiteId via_site, bool shared,
+                                 EdgeSink* sink) {
   const MethodShape& shape = shapes_[m];
   uint32_t clone_id = static_cast<uint32_t>(clones_.size());
   {
@@ -360,7 +357,7 @@ uint32_t AliasGraph::Instantiate(MethodId m, uint32_t parent, CallSiteId via_sit
     vertex_info_.push_back(info);
   }
   for (const auto& edge : shape.edges) {
-    Emit(base + edge.src, base + edge.dst, edge.label, edge.enc);
+    Emit(sink, base + edge.src, base + edge.dst, edge.label, edge.enc);
   }
   for (const auto& event : shape.events) {
     clones_[clone_id].events.push_back(
@@ -386,9 +383,9 @@ uint32_t AliasGraph::Instantiate(MethodId m, uint32_t parent, CallSiteId via_sit
       auto it = shared_instance_.find(site.callee);
       child = (it != shared_instance_.end())
                   ? it->second
-                  : Instantiate(site.callee, kNoClone, kNoCallSite, /*shared=*/true);
+                  : Instantiate(site.callee, kNoClone, kNoCallSite, /*shared=*/true, sink);
     } else {
-      child = Instantiate(site.callee, clone_id, site.id, /*shared=*/false);
+      child = Instantiate(site.callee, clone_id, site.id, /*shared=*/false, sink);
     }
     clones_[clone_id].children[anchor.site] = child;
     VertexId child_base = clone_base_[child];
@@ -399,13 +396,13 @@ uint32_t AliasGraph::Instantiate(MethodId m, uint32_t parent, CallSiteId via_sit
     for (const auto& [param_idx, arg_vertex] : anchor.obj_args) {
       uint32_t param_vertex = callee_shape.param_vertex[param_idx];
       if (param_vertex != UINT32_MAX) {
-        Emit(base + arg_vertex, child_base + param_vertex, labels_.assign, call_enc);
+        Emit(sink, base + arg_vertex, child_base + param_vertex, labels_.assign, call_enc);
       }
     }
     if (anchor.dst_vertex != UINT32_MAX) {
       for (const auto& leaf_return : callee_shape.leaf_returns) {
-        Emit(child_base + leaf_return.ret_vertex, base + anchor.dst_vertex, labels_.assign,
-             ret_enc);
+        Emit(sink, child_base + leaf_return.ret_vertex, base + anchor.dst_vertex,
+             labels_.assign, ret_enc);
       }
     }
   }
@@ -413,8 +410,9 @@ uint32_t AliasGraph::Instantiate(MethodId m, uint32_t parent, CallSiteId via_sit
   return clone_id;
 }
 
-void AliasGraph::Emit(VertexId src, VertexId dst, Label label, const PathEncoding& enc) {
-  engine_->AddBaseEdge(src, dst, label, enc);
+void AliasGraph::Emit(EdgeSink* sink, VertexId src, VertexId dst, Label label,
+                      const PathEncoding& enc) {
+  sink->AddBaseEdge(src, dst, label, enc);
   ++emitted_edges_;
 }
 

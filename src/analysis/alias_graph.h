@@ -79,10 +79,11 @@ struct CloneNode {
 class AliasGraph {
  public:
   // Builds the full cloned program graph, feeding base edges directly into
-  // `engine` (which must not be finalized yet). Call engine->Finalize(
-  // graph.num_vertices()) afterwards.
+  // `sink` (an engine that must not be finalized yet; call its
+  // Finalize(graph.num_vertices()) afterwards). The graph does not keep
+  // `sink`, so it may outlive the engine.
   AliasGraph(const Program& program, const CallGraph& call_graph, const Icfet& icfet,
-             const PointsToLabels& labels, EdgeSink* engine);
+             const PointsToLabels& labels, EdgeSink* sink);
   ~AliasGraph();
 
   VertexId num_vertices() const { return next_vertex_; }
@@ -105,14 +106,14 @@ class AliasGraph {
   struct ShapeVertex;
 
   void BuildShape(MethodId m);
-  uint32_t Instantiate(MethodId m, uint32_t parent, CallSiteId via_site, bool shared);
-  void Emit(VertexId src, VertexId dst, Label label, const PathEncoding& enc);
+  uint32_t Instantiate(MethodId m, uint32_t parent, CallSiteId via_site, bool shared,
+                       EdgeSink* sink);
+  void Emit(EdgeSink* sink, VertexId src, VertexId dst, Label label, const PathEncoding& enc);
 
   const Program& program_;
   const CallGraph& call_graph_;
   const Icfet& icfet_;
   PointsToLabels labels_;
-  EdgeSink* engine_;
   std::unordered_map<std::string, size_t> field_index_;
 
   std::vector<MethodShape> shapes_;

@@ -81,6 +81,27 @@ obs::PhaseReport PhaseReportOf(std::string name, uint64_t num_vertices, const Gr
   return phase;
 }
 
+// The work dir of one engine run. Its spilled partitions and provenance log
+// are scratch for that run alone, so the dir is removed when this goes out
+// of scope, on every exit path. Declare it before the engine that writes
+// it: removal then follows the engine's teardown, which drains the store's
+// write-behind strands. A checkpointed run keeps its dir for a rerun to
+// resume from.
+struct RunDir {
+  std::string path;
+  bool keep;
+  ~RunDir() {
+    if (keep) {
+      return;
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+    if (ec) {
+      GRAPPLE_LOG(WARNING) << "cannot remove work dir " << path << ": " << ec.message();
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::string> GrappleOptions::Validate() const {
@@ -212,12 +233,11 @@ size_t GrappleResult::TotalReports() const {
 
 // Everything phase 1 produces that later phases read. Owned by the session;
 // after EnsureAliasPhase returns, all of it is immutable and safe for
-// concurrent reads by checker workers.
+// concurrent reads by checker workers. The alias engine and its oracle are
+// not part of it: they are freed once the index is built.
 struct Grapple::AliasPhase {
   Grammar grammar;
   PointsToLabels labels;
-  std::unique_ptr<IntervalOracle> oracle;
-  std::unique_ptr<GraphEngine> engine;
   std::unique_ptr<AliasGraph> graph;
   std::unique_ptr<AliasIndex> index;
   obs::PhaseReport report;
@@ -380,20 +400,20 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
     auto alias = std::make_unique<AliasPhase>();
     WallTimer alias_timer;
     alias->labels = BuildPointsToGrammar(&alias->grammar, FieldUniverse(*program_));
-    alias->oracle = std::make_unique<IntervalOracle>(&icfet_, OracleOptionsFrom(options_));
+    // The engine, its oracle and its dir live only in this scope: once the
+    // index has harvested the receivers' flowsTo facts, nothing reads them.
+    RunDir dir{PhaseDir("alias"), options_.robustness.checkpoint_interval > 0};
+    IntervalOracle oracle(&icfet_, OracleOptionsFrom(options_));
     EngineOptions engine_options = EngineOptionsFrom(options_, runtime_.get());
-    engine_options.work_dir = PhaseDir("alias");
-    // Alias-phase provenance only matters for full-fidelity tracing; bug
-    // witnesses walk typestate derivations.
-    engine_options.record_provenance =
-        options_.observability.witness == obs::WitnessMode::kFull;
-    alias->engine =
-        std::make_unique<GraphEngine>(&alias->grammar, alias->oracle.get(), engine_options);
-    alias->graph = std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_, alias->labels,
-                                               alias->engine.get());
-    alias->engine->Finalize(alias->graph->num_vertices());
-    alias->engine->Run();
-    alias->report = PhaseReportOf("alias", alias->graph->num_vertices(), *alias->engine,
+    engine_options.work_dir = dir.path;
+    // No alias-phase provenance in any witness mode: witnesses walk
+    // typestate derivations only.
+    GraphEngine engine(&alias->grammar, &oracle, engine_options);
+    alias->graph =
+        std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_, alias->labels, &engine);
+    engine.Finalize(alias->graph->num_vertices());
+    engine.Run();
+    alias->report = PhaseReportOf("alias", alias->graph->num_vertices(), engine,
                                   alias_timer.ElapsedSeconds());
 
     // Harvest aliasing facts for every event receiver once.
@@ -403,8 +423,7 @@ const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
         receivers.insert(occ.receiver_vertex);
       }
     }
-    alias->index = std::make_unique<AliasIndex>(alias->engine.get(), alias->labels.flows_to,
-                                               receivers);
+    alias->index = std::make_unique<AliasIndex>(&engine, alias->labels.flows_to, receivers);
     alias->pairs = alias->index->NumPairs();
     alias_phase_ = std::move(alias);
   });
@@ -441,9 +460,11 @@ CheckerRunResult Grapple::CheckOne(const FsmSpec& spec, uint64_t memory_budget_b
   Fsm completed = CompleteFsm(spec.fsm);
   Grammar ts_grammar;
   TypestateLabels ts_labels = BuildTypestateGrammar(&ts_grammar, completed);
+  // Witnesses are decoded below, so nothing reads the dir once this returns.
+  RunDir dir{CheckerDir(spec.fsm.name()), options_.robustness.checkpoint_interval > 0};
   IntervalOracle ts_oracle(&icfet_, OracleOptionsFrom(options_));
   EngineOptions ts_engine_options = EngineOptionsFrom(options_, runtime_.get());
-  ts_engine_options.work_dir = CheckerDir(spec.fsm.name());
+  ts_engine_options.work_dir = dir.path;
   ts_engine_options.record_provenance =
       options_.observability.witness != obs::WitnessMode::kOff;
   ts_engine_options.memory_budget_bytes = memory_budget_bytes;

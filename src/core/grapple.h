@@ -95,7 +95,7 @@ struct GrappleOptions {
     // How much derivation provenance to record and decode:
     //   kOff  — no recording, reports carry no witnesses;
     //   kBugs — record during typestate phases, decode per reported bug;
-    //   kFull — also record the alias phase and replay SMT at every step.
+    //   kFull — as kBugs, plus an SMT replay at every witness step.
     obs::WitnessMode witness = obs::WitnessMode::kBugs;
     // Flight-recorder ring size, in events per thread (DESIGN.md §12). The
     // ring overwrites oldest-first, so this bounds both memory (32 bytes per
@@ -176,7 +176,9 @@ struct GrappleOptions {
   Observability observability;
   Scheduling scheduling;
   Robustness robustness;
-  // Partition spill directory; empty creates a private temp dir.
+  // Root of the engines' work dirs; empty creates a private temp dir. Each
+  // engine run spills into its own subdirectory, removed when the run ends
+  // unless robustness.checkpoint_interval > 0 keeps it for resume.
   std::string work_dir;
 
   // Returns one descriptive message per invalid setting ({} when the
@@ -293,9 +295,9 @@ class Grapple {
   CheckerRunResult CheckOne(const FsmSpec& spec);
 
   const Program& program() const { return *program_; }
-  // Where this session spills partitions, checkpoints, and profiles —
-  // either the configured GrappleOptions::work_dir or the session's private
-  // temp dir. Stable for the session's lifetime.
+  // Root of the engines' work dirs (see GrappleOptions::work_dir), profiles
+  // and crash dumps — the configured work_dir or the session's private temp
+  // dir. Stable for the session's lifetime.
   const std::string& work_dir() const { return work_dir_; }
   const Icfet& icfet() const { return icfet_; }
   const CallGraph& call_graph() const { return *call_graph_; }
@@ -307,7 +309,7 @@ class Grapple {
   TaskRuntimeStats RuntimeStats() const { return runtime_->Stats(); }
 
  private:
-  // Cached phase-1 state, built once per session by EnsureAliasPhase().
+  // Phase-1 results the session keeps, built once by EnsureAliasPhase().
   struct AliasPhase;
 
   const AliasPhase& EnsureAliasPhase();
@@ -318,7 +320,8 @@ class Grapple {
   std::string PhaseDir(const std::string& name);
   // Work subdirectory for one checker run: "typestate-<name>" on the
   // checker's first run in this session, "typestate-<name>-r<k>" on
-  // repeats. Thread-safe.
+  // repeats, so concurrent runs never share a dir and a resumed session
+  // finds its first run's checkpoint. Thread-safe.
   std::string CheckerDir(const std::string& checker_name);
 
   GrappleOptions options_;
@@ -331,9 +334,9 @@ class Grapple {
 
   // The session's unified scheduler (DESIGN.md §14): checker tasks, engine
   // join shards, and partition-store I/O strands all execute here. Sized
-  // per Scheduling (see that struct's worker formula). Declared before the
-  // alias phase so engines — whose destructors drain queued strand work —
-  // are torn down while the runtime is still alive.
+  // per Scheduling (see that struct's worker formula). Every engine is a
+  // local of the call that runs it, so each is torn down (draining its
+  // queued strand work) while the runtime is alive.
   std::unique_ptr<TaskRuntime> runtime_;
 
   std::once_flag alias_once_;

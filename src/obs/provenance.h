@@ -44,7 +44,7 @@ namespace obs {
 enum class WitnessMode : uint8_t {
   kOff = 0,   // record nothing; bug reports carry no witnesses
   kBugs = 1,  // record during bug-finding (typestate) phases only [default]
-  kFull = 2,  // record during every phase and replay each witness step
+  kFull = 2,  // as kBugs, and replay each witness step
 };
 
 const char* WitnessModeName(WitnessMode mode);

@@ -113,6 +113,10 @@ TEST(WitnessTest, FullModeReplaysEveryStep) {
     EXPECT_FALSE(step.replay.empty());
     EXPECT_NE(step.replay, "unsat");
   }
+  // Witnesses walk typestate derivations only, so even full mode records
+  // no alias-phase provenance.
+  ASSERT_EQ(result.report.phases[0].name, "alias");
+  EXPECT_EQ(result.report.phases[0].metrics.CounterOr("provenance_records_total"), 0u);
 }
 
 TEST(WitnessTest, ProvenanceCountersReachThePhaseReport) {

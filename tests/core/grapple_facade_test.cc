@@ -6,6 +6,7 @@
 
 #include "src/checker/builtin_checkers.h"
 #include "src/core/grapple.h"
+#include "src/graph/checkpoint.h"
 #include "src/ir/parser.h"
 
 namespace grapple {
@@ -31,16 +32,52 @@ constexpr char kSmall[] = R"(
   }
 )";
 
-TEST(GrappleFacadeTest, ExplicitWorkDirIsUsedAndKept) {
+// Every engine run's spills and provenance are scratch for that run: the
+// alias dir goes once phase 1 is indexed, each checker dir when its run
+// returns, and the session's explicit work dir is left without files.
+TEST(GrappleFacadeTest, ChecksLeaveNoFilesBehind) {
   TempDir dir("facade-workdir");
   GrappleOptions options;
   options.work_dir = dir.path();
   Grapple analyzer(MustParse(kSmall), options);
+  EXPECT_EQ(analyzer.work_dir(), dir.path());
   GrappleResult result = analyzer.Check({MakeIoCheckerSpec()});
-  EXPECT_EQ(result.checkers[0].reports.size(), 1u);
-  // Phase directories were created under the caller's work dir.
-  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/alias"));
-  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/typestate-io"));
+  ASSERT_EQ(result.checkers[0].reports.size(), 1u);
+  // A witness means a provenance log was written and decoded.
+  EXPECT_TRUE(result.checkers[0].reports[0].has_witness);
+  EXPECT_EQ(analyzer.CheckOne(MakeIoCheckerSpec()).reports.size(), 1u);
+  EXPECT_EQ(analyzer.Check({MakeIoCheckerSpec()}).checkers[0].reports.size(), 1u);
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir.path())) {
+    EXPECT_FALSE(entry.is_regular_file()) << entry.path();
+  }
+}
+
+// Under checkpointing the phase dirs are what a rerun resumes from, so they
+// stay, and a second session over the same dir resumes every engine run to
+// the same reports.
+TEST(GrappleFacadeTest, CheckpointedRunKeepsItsPhaseDirs) {
+  TempDir dir("facade-checkpoint");
+  GrappleOptions options;
+  options.work_dir = dir.path();
+  options.robustness.checkpoint_interval = 1;
+  std::vector<BugReport> reports;
+  {
+    Grapple analyzer(MustParse(kSmall), options);
+    reports = analyzer.Check({MakeIoCheckerSpec()}).checkers[0].reports;
+  }
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(std::filesystem::exists(CheckpointManifestPath(dir.path() + "/alias")));
+  EXPECT_TRUE(std::filesystem::exists(CheckpointManifestPath(dir.path() + "/typestate-io")));
+
+  Grapple resumed(MustParse(kSmall), options);
+  GrappleResult again = resumed.Check({MakeIoCheckerSpec()});
+  uint64_t runs_resumed = 0;
+  for (const obs::PhaseReport& phase : again.report.phases) {
+    runs_resumed += phase.metrics.CounterOr("runs_resumed_total");
+  }
+  EXPECT_GT(runs_resumed, 0u);
+  ASSERT_EQ(again.checkers[0].reports.size(), reports.size());
+  EXPECT_EQ(again.checkers[0].reports[0].ToString(), reports[0].ToString());
 }
 
 TEST(GrappleFacadeTest, SessionIsReusable) {
@@ -91,17 +128,6 @@ TEST(GrappleFacadeTest, CheckerRecordCountsItsWitnessDecodes) {
   EXPECT_EQ(phase.name, "typestate:io");
   EXPECT_EQ(phase.metrics.CounterOr("witnesses_decoded_total"), witnesses);
   EXPECT_EQ(phase.metrics.ToJson(), all.checkers[0].phase.metrics.ToJson());
-}
-
-TEST(GrappleFacadeTest, RepeatedRunsGetDistinctWorkDirs) {
-  TempDir dir("facade-rerun");
-  GrappleOptions options;
-  options.work_dir = dir.path();
-  Grapple analyzer(MustParse(kSmall), options);
-  analyzer.Check({MakeIoCheckerSpec()});
-  analyzer.CheckOne(MakeIoCheckerSpec());
-  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/typestate-io"));
-  EXPECT_TRUE(std::filesystem::exists(dir.path() + "/typestate-io-r1"));
 }
 
 TEST(GrappleFacadeTest, ValidateRejectsBadOptionsWithDescriptiveErrors) {

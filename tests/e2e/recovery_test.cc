@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "src/checker/builtin_checkers.h"
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
@@ -110,6 +112,18 @@ int RunInChild(const std::string& work_dir, const std::string& faults,
     return -2;
   }
   return WIFEXITED(status) ? WEXITSTATUS(status) : -3;
+}
+
+// Entries of `work_dir` named after the io checker's run dirs.
+std::vector<std::string> IoCheckerDirs(const std::string& work_dir) {
+  std::vector<std::string> dirs;
+  for (const auto& entry : std::filesystem::directory_iterator(work_dir)) {
+    std::string name = entry.path().filename().string();
+    if (name.rfind("typestate-io", 0) == 0) {
+      dirs.push_back(name);
+    }
+  }
+  return dirs;
 }
 
 std::string ReadArtifact(const std::string& path) {
@@ -215,6 +229,8 @@ TEST_F(DegradationTest, IoFailureDegradesOneCheckerNotTheRun) {
       << io_run->degraded_reason;
   EXPECT_TRUE(io_run->reports.empty());
   EXPECT_FALSE(lock_run->degraded);
+  // The failed run's dir is removed like any other run's.
+  EXPECT_TRUE(IoCheckerDirs(dir.path()).empty());
 }
 
 TEST_F(DegradationTest, IsolationOffPropagatesTheFailure) {
@@ -225,6 +241,7 @@ TEST_F(DegradationTest, IsolationOffPropagatesTheFailure) {
   options.robustness.isolate_checker_failures = false;
   Grapple analyzer(MustParse(kProgram), options);
   EXPECT_THROW(analyzer.Check(Specs()), IoError);
+  EXPECT_TRUE(IoCheckerDirs(dir.path()).empty());
 }
 
 TEST_F(DegradationTest, CorruptProvenanceYieldsWitnessUnavailable) {

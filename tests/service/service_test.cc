@@ -348,6 +348,23 @@ TEST_F(ServiceTest, IntrospectionPagesAreServedOnTheSamePort) {
   EXPECT_NE(response.find("grapple_service_requests_total"), std::string::npos);
 }
 
+// A warm check spills only into dirs that die with its engine runs, so a
+// resident session holds no files however many checks it has served.
+TEST_F(ServiceTest, WarmChecksLeaveNoFilesInTheSessionDir) {
+  StartService(ServiceOptions{});
+  std::string response;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0", kLeaky), &response));
+    ASSERT_EQ(StatusOf(response), 200);
+  }
+  EXPECT_NE(BodyOf(response).find("\"session_checks\":5"), std::string::npos);
+  std::string session_dir = service_->work_root() + "/t0";
+  ASSERT_TRUE(std::filesystem::exists(session_dir));
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(session_dir)) {
+    EXPECT_FALSE(entry.is_regular_file()) << entry.path();
+  }
+}
+
 TEST_F(ServiceTest, ShutdownRemovesWorkRootAndRejectsLateRequests) {
   StartService(ServiceOptions{});
   std::string work_root = service_->work_root();
