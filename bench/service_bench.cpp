@@ -183,7 +183,7 @@ int main() {
   double burst_seconds = burst_timer.ElapsedSeconds();
 
   ServiceStats stats = service.Stats();
-  uint64_t acquisitions = stats.warm_hits + stats.cold_misses + stats.bypasses;
+  uint64_t acquisitions = stats.warm_hits + stats.cold_misses;
   double warm_hit_rate =
       acquisitions > 0 ? static_cast<double>(stats.warm_hits) / static_cast<double>(acquisitions)
                        : 0;

@@ -41,7 +41,12 @@
 #                            # one-shot analyze_file --json run, no file
 #                            # left under the work root by the warm checks,
 #                            # then a SIGTERM shutdown that must exit 0 and
-#                            # leave no work dirs behind
+#                            # leave no work dirs behind; then a second
+#                            # daemon with one resident session and four
+#                            # workers takes 10 rounds of one tenant-a plus
+#                            # three concurrent tenant-b requests, each
+#                            # byte-compared, and must also exit cleanly.
+#                            # A failing step stops any daemon still up.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -343,6 +348,68 @@ run_profile_smoke() {
   echo "==> [profile] profiled report identical; decoders agree"
 }
 
+# Starts grappled on an ephemeral port with the given flags, logging to
+# <out_dir>/<name>.log, and waits for its port file. Sets grappled_pid,
+# grappled_port and grappled_work_root, and arms an EXIT trap that stops
+# the daemon and removes its work root if a later step fails.
+start_grappled() {
+  local build_dir="$1" out_dir="$2" name="$3"
+  shift 3
+  "${build_dir}/tools/grappled" --port 0 --port-file "${out_dir}/${name}.port" "$@" \
+    2> "${out_dir}/${name}.log" &
+  grappled_pid=$!
+  trap "abort_grappled ${grappled_pid} '${out_dir}/${name}.log'" EXIT
+  grappled_port=""
+  for _ in $(seq 1 100); do
+    if [[ -s "${out_dir}/${name}.port" ]]; then
+      grappled_port="$(cat "${out_dir}/${name}.port")"
+      break
+    fi
+    sleep 0.1
+  done
+  if [[ -z "${grappled_port}" ]]; then
+    echo "service: grappled never published its port" >&2
+    cat "${out_dir}/${name}.log" >&2
+    return 1
+  fi
+  grappled_work_root="$(sed -n 's/.*work_root=//p' "${out_dir}/${name}.log" | head -1)"
+  test -d "${grappled_work_root}"
+}
+
+# The EXIT trap of a failed step: stops the daemon if it is still up and
+# removes the work root it logged (a daemon that died leaves it behind).
+abort_grappled() {
+  local pid="$1" log="$2"
+  if kill -0 "${pid}" 2> /dev/null; then
+    kill -TERM "${pid}" 2> /dev/null || true
+    wait "${pid}" 2> /dev/null || true
+  fi
+  local root
+  root="$(sed -n 's/.*work_root=//p' "${log}" 2> /dev/null | head -1)"
+  if [[ -n "${root}" ]]; then
+    rm -rf "${root}"
+  fi
+}
+
+# SIGTERMs the daemon start_grappled started. It must exit 0 and leave
+# neither its work root nor its port file behind; then the trap is disarmed.
+stop_grappled() {
+  local out_dir="$1" name="$2"
+  kill -TERM "${grappled_pid}"
+  wait "${grappled_pid}"
+  grep -q 'grappled: bye' "${out_dir}/${name}.log"
+  if [[ -e "${grappled_work_root}" ]]; then
+    echo "service: leaked work dirs under ${grappled_work_root}" >&2
+    find "${grappled_work_root}" >&2
+    return 1
+  fi
+  if [[ -e "${out_dir}/${name}.port" ]]; then
+    echo "service: leaked port file" >&2
+    return 1
+  fi
+  trap - EXIT
+}
+
 # Analysis-service smoke: the full daemon lifecycle over real HTTP.
 # grappled starts on an ephemeral port (discovered via --port-file), two
 # tenants drive a concurrent burst through grapple-client, /statusz and
@@ -351,6 +418,9 @@ run_profile_smoke() {
 # a cold one-shot `analyze_file <subject> --json` prints. Afterwards the
 # daemon gets SIGTERM and must exit 0, report warm hits in its final
 # /statusz, and leave neither its work root nor its port file behind.
+# A second daemon then replays a session-cache collision: with one
+# resident session and four workers, concurrent misses on one key while
+# another tenant's session is pinned must share one cached session.
 run_service_smoke() {
   local build_dir="${repo_root}/build-ci-release"
   echo "==> [service] configure + build"
@@ -360,9 +430,10 @@ run_service_smoke() {
   rm -rf "${out_dir}"
   mkdir -p "${out_dir}"
   local subject="${repo_root}/examples/testdata/leaky.grap"
+  local other="${repo_root}/examples/testdata/txn_service.grap"
   local client="${build_dir}/tools/grapple-client"
 
-  echo "==> [service] cold one-shot reference (analyze_file --json)"
+  echo "==> [service] cold one-shot references (analyze_file --json)"
   # Exit 1 just means "reports found", which is the point of leaky.grap;
   # 2 (usage/parse) and 3 (witness replay) are real failures.
   local ref_rc=0
@@ -373,28 +444,20 @@ run_service_smoke() {
     return 1
   fi
   test -s "${out_dir}/ref.json"
-
-  echo "==> [service] start grappled on an ephemeral port"
-  "${build_dir}/tools/grappled" --port 0 --port-file "${out_dir}/port" \
-    --slots 2 --workers 4 2> "${out_dir}/grappled.log" &
-  local daemon_pid=$!
-  local port=""
-  for _ in $(seq 1 100); do
-    if [[ -s "${out_dir}/port" ]]; then
-      port="$(cat "${out_dir}/port")"
-      break
-    fi
-    sleep 0.1
-  done
-  if [[ -z "${port}" ]]; then
-    echo "service: grappled never published its port" >&2
-    cat "${out_dir}/grappled.log" >&2
+  ref_rc=0
+  "${build_dir}/examples/analyze_file" "${other}" --json \
+    > "${out_dir}/ref-txn.json" 2> /dev/null || ref_rc=$?
+  if [[ "${ref_rc}" -gt 1 ]]; then
+    echo "service: analyze_file failed with rc=${ref_rc}" >&2
     return 1
   fi
+  test -s "${out_dir}/ref-txn.json"
+
+  echo "==> [service] start grappled on an ephemeral port"
+  start_grappled "${build_dir}" "${out_dir}" grappled --slots 2 --workers 4
+  local port="${grappled_port}"
   local base="http://127.0.0.1:${port}"
-  local work_root
-  work_root="$(sed -n 's/.*work_root=//p' "${out_dir}/grappled.log" | head -1)"
-  test -d "${work_root}"
+  local work_root="${grappled_work_root}"
 
   echo "==> [service] two-tenant burst on 127.0.0.1:${port}"
   "${client}" --port "${port}" --tenant alpha --fields reports "${subject}" \
@@ -455,19 +518,32 @@ PY
   fi
 
   echo "==> [service] SIGTERM shutdown"
-  kill -TERM "${daemon_pid}"
-  wait "${daemon_pid}"
-  grep -q 'grappled: bye' "${out_dir}/grappled.log"
-  if [[ -e "${work_root}" ]]; then
-    echo "service: leaked work dirs under ${work_root}" >&2
-    find "${work_root}" >&2
-    return 1
-  fi
-  if [[ -e "${out_dir}/port" ]]; then
-    echo "service: leaked port file" >&2
-    return 1
-  fi
+  stop_grappled "${out_dir}" grappled
   echo "==> [service] clean shutdown, no leaked work dirs"
+
+  echo "==> [service] session-cache collision: 1 resident session, 4 workers"
+  start_grappled "${build_dir}" "${out_dir}" collide --max-sessions 1 --slots 4 --workers 4
+  local round b
+  for round in $(seq 1 10); do
+    local round_pids=()
+    "${client}" --port "${grappled_port}" --tenant a --fields reports "${other}" \
+      > "${out_dir}/collide-${round}-a.json" &
+    round_pids+=("$!")
+    for b in 1 2 3; do
+      "${client}" --port "${grappled_port}" --tenant b --fields reports "${subject}" \
+        > "${out_dir}/collide-${round}-b${b}.json" &
+      round_pids+=("$!")
+    done
+    for pid in "${round_pids[@]}"; do
+      wait "${pid}"
+    done
+    cmp "${out_dir}/ref-txn.json" "${out_dir}/collide-${round}-a.json"
+    for b in 1 2 3; do
+      cmp "${out_dir}/ref.json" "${out_dir}/collide-${round}-b${b}.json"
+    done
+  done
+  stop_grappled "${out_dir}" collide
+  echo "==> [service] 10 collision rounds byte-identical; clean shutdown"
 }
 
 # ThreadSanitizer pass: the whole suite runs under TSan (the scheduler,

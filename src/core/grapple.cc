@@ -396,37 +396,39 @@ std::string Grapple::CheckerDir(const std::string& checker_name) {
 }
 
 const Grapple::AliasPhase& Grapple::EnsureAliasPhase() {
-  std::call_once(alias_once_, [&] {
-    auto alias = std::make_unique<AliasPhase>();
-    WallTimer alias_timer;
-    alias->labels = BuildPointsToGrammar(&alias->grammar, FieldUniverse(*program_));
-    // The engine, its oracle and its dir live only in this scope: once the
-    // index has harvested the receivers' flowsTo facts, nothing reads them.
-    RunDir dir{PhaseDir("alias"), options_.robustness.checkpoint_interval > 0};
-    IntervalOracle oracle(&icfet_, OracleOptionsFrom(options_));
-    EngineOptions engine_options = EngineOptionsFrom(options_, runtime_.get());
-    engine_options.work_dir = dir.path;
-    // No alias-phase provenance in any witness mode: witnesses walk
-    // typestate derivations only.
-    GraphEngine engine(&alias->grammar, &oracle, engine_options);
-    alias->graph =
-        std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_, alias->labels, &engine);
-    engine.Finalize(alias->graph->num_vertices());
-    engine.Run();
-    alias->report = PhaseReportOf("alias", alias->graph->num_vertices(), engine,
-                                  alias_timer.ElapsedSeconds());
+  std::lock_guard<std::mutex> lock(alias_mu_);
+  if (alias_phase_ != nullptr) {
+    return *alias_phase_;
+  }
+  auto alias = std::make_unique<AliasPhase>();
+  WallTimer alias_timer;
+  alias->labels = BuildPointsToGrammar(&alias->grammar, FieldUniverse(*program_));
+  // The engine, its oracle and its dir live only in this scope: once the
+  // index has harvested the receivers' flowsTo facts, nothing reads them.
+  RunDir dir{PhaseDir("alias"), options_.robustness.checkpoint_interval > 0};
+  IntervalOracle oracle(&icfet_, OracleOptionsFrom(options_));
+  EngineOptions engine_options = EngineOptionsFrom(options_, runtime_.get());
+  engine_options.work_dir = dir.path;
+  // No alias-phase provenance in any witness mode: witnesses walk
+  // typestate derivations only.
+  GraphEngine engine(&alias->grammar, &oracle, engine_options);
+  alias->graph =
+      std::make_unique<AliasGraph>(*program_, *call_graph_, icfet_, alias->labels, &engine);
+  engine.Finalize(alias->graph->num_vertices());
+  engine.Run();
+  alias->report = PhaseReportOf("alias", alias->graph->num_vertices(), engine,
+                                alias_timer.ElapsedSeconds());
 
-    // Harvest aliasing facts for every event receiver once.
-    std::unordered_set<VertexId> receivers;
-    for (const auto& clone : alias->graph->clones()) {
-      for (const auto& occ : clone.events) {
-        receivers.insert(occ.receiver_vertex);
-      }
+  // Harvest aliasing facts for every event receiver once.
+  std::unordered_set<VertexId> receivers;
+  for (const auto& clone : alias->graph->clones()) {
+    for (const auto& occ : clone.events) {
+      receivers.insert(occ.receiver_vertex);
     }
-    alias->index = std::make_unique<AliasIndex>(&engine, alias->labels.flows_to, receivers);
-    alias->pairs = alias->index->NumPairs();
-    alias_phase_ = std::move(alias);
-  });
+  }
+  alias->index = std::make_unique<AliasIndex>(&engine, alias->labels.flows_to, receivers);
+  alias->pairs = alias->index->NumPairs();
+  alias_phase_ = std::move(alias);
   return *alias_phase_;
 }
 

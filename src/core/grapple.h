@@ -339,7 +339,11 @@ class Grapple {
   // queued strand work) while the runtime is alive.
   std::unique_ptr<TaskRuntime> runtime_;
 
-  std::once_flag alias_once_;
+  // Guards building alias_phase_. A build that throws leaves it null, so
+  // the next call retries phase 1. std::call_once promises the same, but
+  // its exceptional path is not portable: under ThreadSanitizer's
+  // pthread_once the flag stays claimed and the retry blocks forever.
+  std::mutex alias_mu_;
   std::unique_ptr<AliasPhase> alias_phase_;
   std::mutex checker_dirs_mu_;
   std::map<std::string, size_t> checker_dir_runs_;

@@ -404,7 +404,7 @@ std::vector<EdgeRecord> PartitionStore::Load(size_t index) {
   if (runtime_ != nullptr) {
     // The current image, if the cache holds a ready one; the vector is
     // copied out after the lock is released.
-    auto cached = [&]() -> std::shared_ptr<const std::vector<EdgeRecord>> {
+    auto ready_image = [&]() -> std::shared_ptr<const std::vector<EdgeRecord>> {
       std::lock_guard<std::mutex> lock(cache_mutex_);
       auto it = cache_.find(info.path);
       if (it == cache_.end() || it->second.version != info.version || !it->second.ready ||
@@ -422,7 +422,7 @@ std::vector<EdgeRecord> PartitionStore::Load(size_t index) {
       evt::Emit(evt::kPartitionLoad, index, info.bytes);
       return it->second.edges;  // the entry stays until stale
     };
-    if (auto hit = cached()) {
+    if (auto hit = ready_image()) {
       return *hit;
     }
     // Miss: wait out this file's strand (a no-op when it is idle), so its
@@ -430,7 +430,7 @@ std::vector<EdgeRecord> PartitionStore::Load(size_t index) {
     // being duplicated. Other files' pending work cannot affect what this
     // read returns, and does not delay it either.
     WaitForPath(info.path);
-    if (auto hit = cached()) {
+    if (auto hit = ready_image()) {
       return *hit;
     }
     ThrowIfIoError();

@@ -200,13 +200,11 @@ ServiceOptions ServiceOptions::FromEnv() {
 GrappleService::GrappleService(ServiceOptions options)
     : options_(options),
       admission_(options.admission_capacity),
-      slots_(options.checker_slots),
       cache_(options.max_resident_sessions) {
   c_requests_ = metrics_.Counter("service_requests_total");
   c_rejected_ = metrics_.Counter("service_rejected_total");
   c_warm_hits_ = metrics_.Counter("service_warm_hits_total");
   c_cold_misses_ = metrics_.Counter("service_cold_misses_total");
-  c_bypass_ = metrics_.Counter("service_bypass_total");
   c_errors_ = metrics_.Counter("service_errors_total");
   c_queue_wait_ns_ = metrics_.Counter("service_queue_wait_ns");
   c_check_ns_ = metrics_.Counter("service_check_ns");
@@ -251,7 +249,7 @@ bool GrappleService::Start(std::string* error) {
           options_.handler_threads)) {
     return false;
   }
-  size_t workers = std::max<size_t>(1, options_.worker_threads);
+  size_t workers = DispatchWorkers();
   workers_.reserve(workers);
   for (size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -301,11 +299,17 @@ void GrappleService::Shutdown() {
   started_ = false;
 }
 
+size_t GrappleService::DispatchWorkers() const {
+  return std::max<size_t>(1, std::min(options_.worker_threads, options_.checker_slots));
+}
+
 void GrappleService::WorkerLoop() {
   AdmissionItem item;
   while (admission_.Dequeue(&item)) {
+    running_.fetch_add(1, std::memory_order_relaxed);
     item.fn();
     item.fn = nullptr;
+    running_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -324,10 +328,6 @@ HttpResponse GrappleService::Handle(const HttpRequest& request) {
 HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
   auto fail = [this](int status, const std::string& message) {
     metrics_.Add(c_errors_);
-    {
-      std::lock_guard<std::mutex> lock(latency_mu_);
-      ++errors_;
-    }
     return JsonError(status, message);
   };
   metrics_.Add(c_requests_);
@@ -351,17 +351,15 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
   auto state = std::make_shared<std::promise<HttpResponse>>();
   std::future<HttpResponse> future = state->get_future();
   auto subject = std::make_shared<std::string>(request.body);
-  auto run = [this, state, subject, tenant, specs = std::move(specs), reports_only,
+  auto run = [this, fail, state, subject, tenant, specs = std::move(specs), reports_only,
               admitted_at]() mutable {
     if (draining_.load(std::memory_order_acquire)) {
-      metrics_.Add(c_errors_);
-      state->set_value(JsonError(503, "service is shutting down"));
+      state->set_value(fail(503, "service is shutting down"));
       return;
     }
     double queue_ms = MsSince(admitted_at);
     metrics_.Add(c_queue_wait_ns_, static_cast<uint64_t>(queue_ms * 1e6));
 
-    SlotLease lease = slots_.Acquire();
     uint64_t fingerprint = SubjectFingerprint(tenant, *subject);
     std::string factory_error;
     auto factory = [&]() -> std::unique_ptr<Session> {
@@ -389,29 +387,18 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
       }
       return session;
     };
-    SessionCache<Session>::Handle handle = cache_.Acquire(fingerprint, factory);
-    if (!handle.valid()) {
-      metrics_.Add(c_errors_);
-      {
-        std::lock_guard<std::mutex> lock(latency_mu_);
-        ++errors_;
-      }
-      state->set_value(
-          JsonError(400, factory_error.empty() ? "session creation failed" : factory_error));
-      return;
-    }
-    if (!handle.cached()) {
-      metrics_.Add(c_bypass_);
-    } else if (handle.warm()) {
-      metrics_.Add(c_warm_hits_);
-    } else {
-      metrics_.Add(c_cold_misses_);
-    }
-
+    SessionCache<Session>::Handle handle;
     GrappleResult result;
     uint64_t session_checks = 0;
     double check_ms = 0;
-    {
+    try {
+      handle = cache_.Acquire(fingerprint, factory);
+      if (!handle.valid()) {
+        state->set_value(
+            fail(400, factory_error.empty() ? "session creation failed" : factory_error));
+        return;
+      }
+      metrics_.Add(handle.warm() ? c_warm_hits_ : c_cold_misses_);
       // Sessions are not safe for concurrent Check; serialize per session.
       std::lock_guard<std::mutex> run_lock(handle.run_mu());
       SteadyClock::time_point check_begin = SteadyClock::now();
@@ -419,6 +406,10 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
       check_ms = MsSince(check_begin);
       metrics_.Add(c_check_ns_, static_cast<uint64_t>(check_ms * 1e6));
       session_checks = ++handle.session()->checks;
+    } catch (const std::exception& e) {
+      // The session stays cached: a failed phase 1 reruns on its next Check.
+      state->set_value(fail(500, std::string("check failed: ") + e.what()));
+      return;
     }
 
     // Aggregate reports exactly like examples/analyze_file --json so the
@@ -438,7 +429,7 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
       json.BeginObject();
       json.Key("tenant").String(tenant);
       json.Key("warm").Bool(handle.warm());
-      json.Key("cached").Bool(handle.cached());
+      json.Key("cached").Bool(true);  // every session is a cached one
       json.Key("session_checks").UInt(session_checks);
       json.Key("queue_ms").Double(queue_ms);
       // This request's Check only: result.report.total_seconds also counts the
@@ -451,7 +442,7 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
       response.body = json.Take() + "\n";
     }
     double total_ms = MsSince(admitted_at);
-    RecordLatency(total_ms, handle.warm());
+    RecordLatency(total_ms);
     state->set_value(std::move(response));
   };
 
@@ -464,14 +455,13 @@ HttpResponse GrappleService::HandleCheck(const HttpRequest& request) {
   return future.get();
 }
 
-void GrappleService::RecordLatency(double total_ms, bool warm) {
+void GrappleService::RecordLatency(double total_ms) {
   metrics_.Observe(h_latency_ms_, static_cast<uint64_t>(total_ms));
   std::lock_guard<std::mutex> lock(latency_mu_);
   recent_latency_ms_.push_back(total_ms);
   while (recent_latency_ms_.size() > kLatencyWindow) {
     recent_latency_ms_.pop_front();
   }
-  (void)warm;
 }
 
 ServiceStats GrappleService::Stats() const {
@@ -480,12 +470,11 @@ ServiceStats GrappleService::Stats() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   stats.warm_hits = snapshot.CounterOr("service_warm_hits_total");
   stats.cold_misses = snapshot.CounterOr("service_cold_misses_total");
-  stats.bypasses = snapshot.CounterOr("service_bypass_total");
   stats.errors = snapshot.CounterOr("service_errors_total");
   auto cache_stats = cache_.stats();
   stats.evictions = cache_stats.evictions;
   stats.resident_sessions = cache_stats.resident;
-  stats.slots_in_use = slots_.in_use();
+  stats.slots_in_use = running_.load(std::memory_order_relaxed);
   std::vector<double> window;
   {
     std::lock_guard<std::mutex> lock(latency_mu_);
@@ -513,14 +502,11 @@ std::string GrappleService::StatusSourceJson() const {
   json.Key("max_resident").UInt(options_.max_resident_sessions);
   json.Key("warm_hits").UInt(stats.warm_hits);
   json.Key("cold_misses").UInt(stats.cold_misses);
-  json.Key("bypasses").UInt(stats.bypasses);
   json.Key("evictions").UInt(stats.evictions);
   json.EndObject();
   json.Key("slots").BeginObject();
-  json.Key("total").UInt(slots_.slots());
+  json.Key("total").UInt(DispatchWorkers());
   json.Key("in_use").UInt(stats.slots_in_use);
-  json.Key("peak_in_use").UInt(slots_.peak_in_use());
-  json.Key("waiters").UInt(slots_.waiters());
   json.EndObject();
   json.Key("tenants").BeginObject();
   for (const auto& [tenant, admitted] : stats.admission.per_tenant_admitted) {

@@ -8,15 +8,19 @@
 //              [&checkers=io,lock,...][&fields=reports]
 //   <body: IR program text (src/ir/parser.h grammar)>
 //
-// The request flows admission -> slot -> session:
+// The request flows admission -> worker -> session:
 //   * AdmissionQueue bounds queued work and keeps tenants fair (429 on
 //     overload, 503 while shutting down — clients see backpressure instead
-//     of unbounded latency).
-//   * SlotArbiter caps concurrent Check() runs so N resident sessions do
-//     not oversubscribe the machine N-fold.
+//     of unbounded latency). It is the only place a request waits.
+//   * min(checker_slots, worker_threads) dispatch workers drain it, each
+//     running one request at a time, so N resident sessions do not
+//     oversubscribe the machine N-fold.
 //   * SessionCache keeps hot Grapple sessions resident keyed by a
 //     fingerprint of (tenant, subject): a warm hit reuses the cached
 //     phase-1 alias analysis and runs phases 2-3 only.
+// A Check() that throws (an I/O failure in phase 1, say) answers 500 and
+// leaves the daemon serving; the session stays cached and retries phase 1
+// on its next request.
 //
 // Responses: with `fields=reports` the body is byte-identical to
 // `analyze_file <subject> --json` on the same subject and checker set —
@@ -48,7 +52,6 @@
 #include "src/obs/statusz.h"
 #include "src/service/admission_queue.h"
 #include "src/service/session_cache.h"
-#include "src/service/slot_arbiter.h"
 #include "src/support/socket_server.h"
 
 namespace grapple {
@@ -61,9 +64,10 @@ struct ServiceOptions {
   size_t max_resident_sessions = 8;
   // Bound on admitted-but-undispatched requests (beyond this: 429).
   size_t admission_capacity = 64;
-  // Concurrent Check() runs across all sessions.
+  // Concurrent Check() runs across all sessions: the service runs
+  // max(1, min(checker_slots, worker_threads)) dispatch workers.
   size_t checker_slots = 2;
-  // Dispatch workers draining the admission queue.
+  // Dispatch workers draining the admission queue (capped as above).
   size_t worker_threads = 2;
   // HTTP handler pool (requests park here while queued + checking).
   size_t handler_threads = 8;
@@ -82,11 +86,11 @@ struct ServiceStats {
   AdmissionStats admission;
   uint64_t warm_hits = 0;
   uint64_t cold_misses = 0;
-  uint64_t bypasses = 0;
+  uint64_t bypasses = 0;      // always 0: every session is cached
   uint64_t evictions = 0;
   uint64_t errors = 0;       // 4xx/5xx responses on /check
   size_t resident_sessions = 0;
-  size_t slots_in_use = 0;
+  size_t slots_in_use = 0;   // workers running a request
   double p50_ms = 0;  // exact, over the recent-latency window
   double p99_ms = 0;
 };
@@ -131,7 +135,8 @@ class GrappleService {
   HttpResponse Handle(const HttpRequest& request);
   HttpResponse HandleCheck(const HttpRequest& request);
   void WorkerLoop();
-  void RecordLatency(double total_ms, bool warm);
+  size_t DispatchWorkers() const;
+  void RecordLatency(double total_ms);
   std::string StatusSourceJson() const;
 
   ServiceOptions options_;
@@ -142,10 +147,10 @@ class GrappleService {
   std::mutex lifecycle_mu_;
 
   AdmissionQueue admission_;
-  SlotArbiter slots_;
   SessionCache<Session> cache_;
   SocketServer server_;
   std::vector<std::thread> workers_;
+  std::atomic<size_t> running_{0};  // workers running a request
 
   // service_* counters; merged into /metricsz via the metrics source.
   obs::MetricsRegistry metrics_;
@@ -153,7 +158,6 @@ class GrappleService {
   obs::MetricId c_rejected_;
   obs::MetricId c_warm_hits_;
   obs::MetricId c_cold_misses_;
-  obs::MetricId c_bypass_;
   obs::MetricId c_errors_;
   obs::MetricId c_queue_wait_ns_;
   obs::MetricId c_check_ns_;
@@ -163,7 +167,6 @@ class GrappleService {
   // histogram above is too coarse to gate on).
   mutable std::mutex latency_mu_;
   std::deque<double> recent_latency_ms_;
-  uint64_t errors_ = 0;
 
   // Declared last: unregister (blocking out in-flight scrapes) before the
   // state their callbacks read is torn down.

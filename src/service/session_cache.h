@@ -13,10 +13,12 @@
 //     finishes creating, then share the session.
 //   * A Handle pins its entry: pinned entries are never evicted, so budget
 //     pressure can never drop a session mid-Check.
-//   * When the cache is full and every entry is pinned, Acquire degrades to
-//     a *bypass*: it builds an uncached one-shot session owned by the
-//     handle. Callers never block on eviction and never fail admission
-//     because of cache pressure alone.
+//   * A miss evicts idle entries, least recently used first, until there is
+//     room. When every entry is pinned it inserts anyway, so residency can
+//     exceed the capacity by the entries pinned at that moment; it stays
+//     over until the next miss (or TrimTo) evicts the excess once idle.
+//     Callers never block on eviction, and every session is a cached one,
+//     so one key never has two live sessions.
 //   * Each entry carries a run mutex; sessions are not safe for concurrent
 //     Check calls, so the service serializes per-session runs through it.
 //
@@ -28,6 +30,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -51,14 +54,13 @@ class SessionCache {
   struct Stats {
     uint64_t hits = 0;        // Acquire found a created entry
     uint64_t misses = 0;      // Acquire created a new resident entry
-    uint64_t bypasses = 0;    // full + all pinned: uncached one-shot session
     uint64_t evictions = 0;   // entries dropped (capacity or TrimTo)
     size_t resident = 0;
     size_t pinned = 0;        // entries with at least one live handle
   };
 
   // A pinned session. While any handle to an entry is alive the entry cannot
-  // be evicted. Bypass handles own their session outright.
+  // be evicted.
   class Handle {
    public:
     Handle() = default;
@@ -69,7 +71,6 @@ class SessionCache {
         Release();
         cache_ = other.cache_;
         entry_ = std::move(other.entry_);
-        owned_ = std::move(other.owned_);
         warm_ = other.warm_;
         other.cache_ = nullptr;
         other.warm_ = false;
@@ -79,25 +80,14 @@ class SessionCache {
     Handle(const Handle&) = delete;
     Handle& operator=(const Handle&) = delete;
 
-    bool valid() const { return entry_ != nullptr || owned_ != nullptr; }
+    bool valid() const { return entry_ != nullptr; }
     // True when this session had already been created by an earlier Acquire.
     bool warm() const { return warm_; }
-    // False for bypass handles (the session dies with the handle).
-    bool cached() const { return entry_ != nullptr; }
 
-    Session* session() const {
-      if (entry_ != nullptr) {
-        return entry_->session.get();
-      }
-      return owned_.get();
-    }
+    Session* session() const { return entry_->session.get(); }
 
-    // Serializes Check runs on a shared session. Bypass sessions are
-    // exclusive to this handle but lock the same way so callers need not
-    // care which kind they got.
-    std::mutex& run_mu() const {
-      return entry_ != nullptr ? entry_->run_mu : bypass_run_mu_;
-    }
+    // Serializes Check runs on the shared session.
+    std::mutex& run_mu() const { return entry_->run_mu; }
 
     void Release() {
       if (entry_ != nullptr && cache_ != nullptr) {
@@ -105,7 +95,6 @@ class SessionCache {
       }
       entry_ = nullptr;
       cache_ = nullptr;
-      owned_ = nullptr;
       warm_ = false;
     }
 
@@ -114,9 +103,7 @@ class SessionCache {
 
     SessionCache* cache_ = nullptr;
     std::shared_ptr<Entry> entry_;
-    std::unique_ptr<Session> owned_;
     bool warm_ = false;
-    mutable std::mutex bypass_run_mu_;
   };
 
   // `capacity` bounds resident sessions; 0 degrades to 1.
@@ -134,9 +121,9 @@ class SessionCache {
 
   // Returns a pinned handle for `key`, creating the session via `factory`
   // on a miss. Returns an invalid handle only when the factory itself
-  // returns null.
+  // returns null; an exception from the factory withdraws the entry, as a
+  // null does, and propagates.
   Handle Acquire(uint64_t key, const Factory& factory) {
-    std::shared_ptr<Entry> to_destroy;  // evicted entry, freed outside mu_
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       auto it = entries_.find(key);
@@ -158,14 +145,12 @@ class SessionCache {
       }
       break;
     }
-    // Miss. Make room, or bypass when nothing is evictable.
-    if (entries_.size() >= capacity_ && !EvictOneLocked(&to_destroy)) {
-      ++bypasses_;
-      lock.unlock();
-      DestroyEvicted(std::move(to_destroy));
-      Handle handle;
-      handle.owned_ = factory();
-      return handle;
+    // Miss. Make room as far as idle entries allow; the rest is pinned and
+    // the new entry goes in over capacity.
+    std::vector<std::shared_ptr<Entry>> victims;  // freed outside mu_
+    std::shared_ptr<Entry> victim;
+    while (entries_.size() >= capacity_ && EvictOneLocked(&victim)) {
+      victims.push_back(std::move(victim));
     }
     auto entry = std::make_shared<Entry>();
     entry->key = key;
@@ -176,8 +161,16 @@ class SessionCache {
     ++misses_;
     lock.unlock();
 
-    DestroyEvicted(std::move(to_destroy));
-    std::unique_ptr<Session> session = factory();
+    for (auto& evicted : victims) {
+      DestroyEvicted(std::move(evicted));
+    }
+    std::unique_ptr<Session> session;
+    std::exception_ptr error;
+    try {
+      session = factory();
+    } catch (...) {
+      error = std::current_exception();
+    }
 
     lock.lock();
     entry->creating = false;
@@ -186,6 +179,9 @@ class SessionCache {
       entry->pins = 0;
       entries_.erase(key);
       cv_.notify_all();
+      if (error != nullptr) {
+        std::rethrow_exception(error);
+      }
       return Handle();
     }
     entry->session = std::move(session);
@@ -221,7 +217,6 @@ class SessionCache {
     Stats stats;
     stats.hits = hits_;
     stats.misses = misses_;
-    stats.bypasses = bypasses_;
     stats.evictions = evictions_;
     stats.resident = entries_.size();
     for (const auto& [key, entry] : entries_) {
@@ -235,16 +230,6 @@ class SessionCache {
   size_t resident() const {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();
-  }
-
-  std::vector<uint64_t> ResidentKeys() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<uint64_t> keys;
-    keys.reserve(entries_.size());
-    for (const auto& [key, entry] : entries_) {
-      keys.push_back(key);
-    }
-    return keys;
   }
 
  private:
@@ -305,7 +290,6 @@ class SessionCache {
   uint64_t use_clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t bypasses_ = 0;
   uint64_t evictions_ = 0;
   EvictHook evict_hook_;
 };

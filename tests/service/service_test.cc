@@ -21,6 +21,8 @@
 #include "src/checker/report_json.h"
 #include "src/core/grapple.h"
 #include "src/ir/parser.h"
+#include "src/support/fault_injection.h"
+#include "src/workload/workload.h"
 #include "tests/obs/json_parse.h"
 
 namespace grapple {
@@ -110,6 +112,35 @@ std::string BodyOf(const std::string& response) {
   return pos == std::string::npos ? std::string() : response.substr(pos + 4);
 }
 
+// What `analyze_file <subject> --json` prints: every builtin checker's
+// reports from a one-shot session.
+std::string OneShotReportsJson(const std::string& subject) {
+  ParseResult parsed = ParseProgram(subject);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  Grapple analyzer(std::move(parsed.program));
+  GrappleResult result = analyzer.Check(AllBuiltinCheckers());
+  std::vector<BugReport> all_reports;
+  for (const auto& checker : result.checkers) {
+    for (const auto& report : checker.reports) {
+      all_reports.push_back(report);
+    }
+  }
+  return ReportsToJson(all_reports) + "\n";
+}
+
+// Polls Stats() until `done` holds or a generous deadline passes; returns
+// the last snapshot.
+template <typename Predicate>
+ServiceStats PollStats(const GrappleService& service, Predicate done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  ServiceStats stats = service.Stats();
+  while (!done(stats) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+    stats = service.Stats();
+  }
+  return stats;
+}
+
 // Session dirs are named after the fingerprint, so its values are pinned:
 // a change of hash here would orphan every resident session dir.
 TEST(SubjectFingerprintTest, ValuesArePinned) {
@@ -173,20 +204,7 @@ TEST_F(ServiceTest, RejectsMalformedCheckRequests) {
 // and warm alike.
 TEST_F(ServiceTest, WarmResponseIsByteIdenticalToColdAndToOneShot) {
   StartService(ServiceOptions{});
-  std::string expected;
-  {
-    ParseResult parsed = ParseProgram(kLeaky);
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-    Grapple analyzer(std::move(parsed.program));
-    GrappleResult result = analyzer.Check(AllBuiltinCheckers());
-    std::vector<BugReport> all_reports;
-    for (const auto& checker : result.checkers) {
-      for (const auto& report : checker.reports) {
-        all_reports.push_back(report);
-      }
-    }
-    expected = ReportsToJson(all_reports) + "\n";
-  }
+  std::string expected = OneShotReportsJson(kLeaky);
   std::string cold;
   ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0&fields=reports", kLeaky), &cold));
   ASSERT_EQ(StatusOf(cold), 200);
@@ -287,10 +305,86 @@ TEST_F(ServiceTest, ConcurrentMultiTenantBurst) {
   EXPECT_EQ(ok.load(), kTenants * kPerTenant);
   ServiceStats stats = service_->Stats();
   // One cold build per (tenant, subject); everyone else shared it warm.
-  EXPECT_EQ(stats.cold_misses + stats.bypasses, static_cast<uint64_t>(kTenants));
+  EXPECT_EQ(stats.cold_misses, static_cast<uint64_t>(kTenants));
   EXPECT_EQ(stats.warm_hits, static_cast<uint64_t>(kTenants * (kPerTenant - 1)));
   EXPECT_EQ(stats.admission.per_tenant_admitted.size(), static_cast<size_t>(kTenants));
   EXPECT_GT(stats.p99_ms, 0.0);
+}
+
+// The admission queue is the only place a request waits. With more workers
+// configured than checker slots the service runs one worker per slot, so a
+// request that no running check has room for stays queued, where tenant
+// fairness and priority still order it, instead of being taken out early.
+TEST_F(ServiceTest, ExcessRequestsWaitInTheAdmissionQueue) {
+  ServiceOptions options;
+  options.worker_threads = 4;
+  options.checker_slots = 2;
+  StartService(options);
+  // A cold check of this subject runs phase 1 for hundreds of milliseconds
+  // (Release build), far longer than the polling below.
+  const std::string slow = GenerateWorkload(HBasePreset(0.3)).program.ToString();
+  const std::string fast = kLeaky;
+  std::atomic<int> ok{0};
+  std::atomic<int> slow_done{0};
+  std::vector<std::thread> clients;
+  auto send = [&](const std::string& tenant, const std::string* subject) {
+    clients.emplace_back([this, tenant, subject, &slow, &ok, &slow_done] {
+      std::string response;
+      if (RoundTrip(port_, CheckRequest("?tenant=" + tenant + "&fields=reports", *subject),
+                    &response) &&
+          StatusOf(response) == 200) {
+        ok.fetch_add(1);
+      }
+      if (subject == &slow) {
+        slow_done.fetch_add(1);
+      }
+    });
+  };
+  send("slow0", &slow);
+  send("slow1", &slow);
+  ServiceStats stats = PollStats(*service_, [](const ServiceStats& s) {
+    return s.slots_in_use == 2;
+  });
+  EXPECT_EQ(stats.slots_in_use, 2u);
+  send("fast0", &fast);
+  send("fast1", &fast);
+  stats = PollStats(*service_, [](const ServiceStats& s) { return s.admission.admitted == 4; });
+  EXPECT_EQ(slow_done.load(), 0) << "the slow checks ended before the queue was observed";
+  EXPECT_EQ(stats.admission.admitted, 4u);
+  EXPECT_EQ(stats.admission.dispatched, 2u);
+  EXPECT_EQ(stats.admission.depth, 2u);
+  EXPECT_EQ(stats.slots_in_use, 2u);
+  for (auto& client : clients) {
+    client.join();
+  }
+  EXPECT_EQ(ok.load(), 4);
+  EXPECT_EQ(service_->Stats().admission.dispatched, 4u);
+}
+
+// An exception out of Check() (here a hard write failure injected into the
+// alias phase) answers 500 and leaves the daemon serving. The session stays
+// cached, and its next request reruns phase 1.
+TEST_F(ServiceTest, CheckFailureAnswers500AndTheDaemonKeepsServing) {
+  StartService(ServiceOptions{});
+  struct ResetFaults {
+    ~ResetFaults() { fault::Reset(); }
+  } reset_faults;
+  ASSERT_TRUE(fault::Configure("fail@write#1+:path=alias"));
+  std::string response;
+  ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0&fields=reports", kLeaky), &response));
+  EXPECT_EQ(StatusOf(response), 500);
+  EXPECT_NE(BodyOf(response).find("check failed"), std::string::npos) << BodyOf(response);
+  EXPECT_NE(BodyOf(response).find("alias"), std::string::npos) << BodyOf(response);
+  ASSERT_TRUE(RoundTrip(port_, "GET /healthz HTTP/1.0\r\n\r\n", &response));
+  EXPECT_EQ(StatusOf(response), 200);
+  fault::Reset();
+  ASSERT_TRUE(RoundTrip(port_, CheckRequest("?tenant=t0&fields=reports", kLeaky), &response));
+  ASSERT_EQ(StatusOf(response), 200);
+  EXPECT_EQ(BodyOf(response), OneShotReportsJson(kLeaky));
+  ServiceStats stats = service_->Stats();
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(stats.cold_misses, 1u);
+  EXPECT_EQ(stats.warm_hits, 1u);
 }
 
 // Budget pressure mid-flight: trimming evicts only idle sessions; requests

@@ -1,7 +1,7 @@
 // Session-cache policy tests (src/service/session_cache.h) over a toy
 // session type: once-per-key creation, LRU eviction, pin safety (in-flight
-// sessions are never dropped), and the bypass path when the cache is full
-// of pinned entries.
+// sessions are never dropped), and over-capacity insertion when the cache
+// is full of pinned entries.
 #include "src/service/session_cache.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -34,7 +35,6 @@ TEST(SessionCacheTest, MissThenHitSetsWarmFlag) {
     Cache::Handle cold = cache.Acquire(7, factory);
     ASSERT_TRUE(cold.valid());
     EXPECT_FALSE(cold.warm());
-    EXPECT_TRUE(cold.cached());
   }
   Cache::Handle hot = cache.Acquire(7, factory);
   ASSERT_TRUE(hot.valid());
@@ -111,25 +111,67 @@ TEST(SessionCacheTest, PinnedEntriesSurviveTrim) {
   EXPECT_EQ(evicted.size(), 3u);
 }
 
-TEST(SessionCacheTest, BypassWhenFullAndAllPinned) {
+TEST(SessionCacheTest, OverCapacityWhileAllPinned) {
+  std::vector<uint64_t> evicted;
+  Cache cache(1);
+  cache.set_evict_hook([&](uint64_t key, ToySession*) { evicted.push_back(key); });
+  Cache::Handle first = cache.Acquire(1, [] { return std::make_unique<ToySession>(1); });
+  // Cache full, sole entry pinned: a different key cannot evict and must
+  // not block, so it goes in over capacity.
+  Cache::Handle second = cache.Acquire(2, [] { return std::make_unique<ToySession>(2); });
+  ASSERT_TRUE(second.valid());
+  EXPECT_FALSE(second.warm());
+  EXPECT_EQ(second.session()->id, 2);
+  EXPECT_EQ(cache.resident(), 2u);
+  EXPECT_TRUE(evicted.empty());
+  first.Release();
+  second.Release();
+  // The next miss trims back to capacity, least recently used first.
+  Cache::Handle third = cache.Acquire(3, [] { return std::make_unique<ToySession>(3); });
+  ASSERT_TRUE(third.valid());
+  EXPECT_EQ(cache.resident(), 1u);
+  EXPECT_EQ(evicted, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST(SessionCacheTest, ConcurrentMissesWhileFullShareOneSession) {
   Cache cache(1);
   Cache::Handle pinned = cache.Acquire(1, [] { return std::make_unique<ToySession>(1); });
-  // Cache full, sole entry pinned: a different key cannot evict and must
-  // not block — it gets an uncached one-shot session.
-  Cache::Handle bypass = cache.Acquire(2, [] { return std::make_unique<ToySession>(2); });
-  ASSERT_TRUE(bypass.valid());
-  EXPECT_FALSE(bypass.cached());
-  EXPECT_FALSE(bypass.warm());
-  EXPECT_EQ(bypass.session()->id, 2);
-  EXPECT_EQ(cache.stats().bypasses, 1u);
-  EXPECT_EQ(cache.resident(), 1u);
+  std::atomic<int> factory_calls{0};
+  ToySession* seen[2] = {nullptr, nullptr};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      Cache::Handle handle = cache.Acquire(2, [&] {
+        factory_calls.fetch_add(1);
+        // Widen the creation window so the other thread arrives while the
+        // entry is still being created.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return std::make_unique<ToySession>(2);
+      });
+      ASSERT_TRUE(handle.valid());
+      seen[i] = handle.session();
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(factory_calls.load(), 1);
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(cache.resident(), 2u);
 }
 
 TEST(SessionCacheTest, FailedCreationIsRetriable) {
   Cache cache(2);
   Cache::Handle failed = cache.Acquire(9, [] { return std::unique_ptr<ToySession>(); });
   EXPECT_FALSE(failed.valid());
-  // The failed entry was withdrawn; the next Acquire re-runs the factory.
+  // A throwing factory is withdrawn the same way, and the exception
+  // propagates.
+  auto throwing = []() -> std::unique_ptr<ToySession> { throw std::runtime_error("boom"); };
+  EXPECT_THROW(cache.Acquire(9, throwing), std::runtime_error);
+  EXPECT_EQ(cache.resident(), 0u);
+  // The failed entries were withdrawn; the next Acquire re-runs the factory.
   Cache::Handle ok = cache.Acquire(9, [] { return std::make_unique<ToySession>(9); });
   ASSERT_TRUE(ok.valid());
   EXPECT_FALSE(ok.warm());

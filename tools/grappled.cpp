@@ -2,10 +2,11 @@
 //
 // Serves POST /check (subject IR as the body, tenant/priority/checkers as
 // query parameters) plus the live introspection pages (/healthz /statusz
-// /metricsz /tracez /profilez) on one loopback port. Requests pass
-// admission control (bounded, tenant-fair), a checker-slot arbiter, and a
-// session cache that keeps hot subjects' phase-1 alias state resident —
-// see src/service/service.h for the protocol and fairness contracts.
+// /metricsz /tracez /profilez) on one loopback port. Requests wait in
+// admission control (bounded, tenant-fair), run on min(--slots, --workers)
+// dispatch workers, one check each at a time, and reach a session cache
+// that keeps hot subjects' phase-1 alias state resident — see
+// src/service/service.h for the protocol and fairness contracts.
 //
 //   $ grappled --port 0 --port-file /tmp/grappled.port &
 //   $ grapple-client --port $(cat /tmp/grappled.port) --tenant ci
@@ -48,7 +49,8 @@ void OnSignal(int /*signo*/) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--port-file path] [--work-root dir]\n"
-               "          [--max-sessions N] [--admission N] [--slots N] [--workers N]\n",
+               "          [--max-sessions N] [--admission N] [--slots N] [--workers N]\n"
+               "runs min(--slots, --workers) checks at once; the rest wait in admission\n",
                argv0);
   return 2;
 }
