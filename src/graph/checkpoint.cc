@@ -63,19 +63,14 @@ void EncodeCheckpointManifest(const CheckpointManifest& manifest, std::vector<ui
     PutVarint64(&payload, p.edges);
     PutVarint64(&payload, p.version);
     PutVarint64(&payload, p.disk_bytes);
-    PutVarint64(&payload, p.segments.size());
-    for (const auto& [version, count] : p.segments) {
-      PutVarint64(&payload, version);
-      PutVarint64(&payload, count);
-    }
   }
 
   PutVarint64(&payload, manifest.pair_done.size());
   for (const CheckpointManifest::PairDone& pd : manifest.pair_done) {
     PutVarint64(&payload, pd.i);
     PutVarint64(&payload, pd.j);
-    PutVarint64(&payload, pd.vi);
-    PutVarint64(&payload, pd.vj);
+    PutVarint64(&payload, pd.ni);
+    PutVarint64(&payload, pd.nj);
   }
 
   // Sorted hashes delta-encode well: the varint of a gap between uniform
@@ -163,16 +158,6 @@ bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManif
     p.edges = reader.GetVarint64();
     p.version = reader.GetVarint64();
     p.disk_bytes = reader.GetVarint64();
-    uint64_t num_segments = reader.GetVarint64();
-    if (!reader.ok() || num_segments > payload_len) {
-      return Fail(error, "bad segment count");
-    }
-    p.segments.reserve(static_cast<size_t>(num_segments));
-    for (uint64_t s = 0; s < num_segments; ++s) {
-      uint64_t version_s = reader.GetVarint64();
-      uint64_t count = reader.GetVarint64();
-      p.segments.emplace_back(version_s, count);
-    }
     m.partitions.push_back(std::move(p));
   }
 
@@ -185,8 +170,8 @@ bool DecodeCheckpointManifest(const std::vector<uint8_t>& bytes, CheckpointManif
     CheckpointManifest::PairDone pd;
     pd.i = reader.GetVarint64();
     pd.j = reader.GetVarint64();
-    pd.vi = reader.GetVarint64();
-    pd.vj = reader.GetVarint64();
+    pd.ni = reader.GetVarint64();
+    pd.nj = reader.GetVarint64();
     m.pair_done.push_back(pd);
   }
 

@@ -8,7 +8,8 @@
 //   * the partition table, including each file's on-disk byte size at
 //     publish time — the "generation number" recovery truncates back to,
 //     dropping any bytes appended after the manifest;
-//   * the pair-scheduling cursor (pair_done_ version map);
+//   * the pair-scheduling progress (pair_done_: per processed partition
+//     pair, the edge-prefix counts whose joins are done);
 //   * the global unique-edge dedup state (content hashes + per-triple
 //     variant counts), so a resumed run re-derives exactly the edges the
 //     dead run had not yet derived — and records no duplicate provenance;
@@ -34,10 +35,11 @@
 
 namespace grapple {
 
-// v2: every partition file a manifest names is in the block format. A v1
-// manifest may name raw record files, which this build cannot read, so it
-// is refused as version skew and the run starts fresh.
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+// v3: pair progress is kept as edge-prefix counts and the partition table
+// has no segment maps. An older manifest (v2 keyed pair progress by
+// partition versions; v1 could name raw record files) is refused as version
+// skew and the run starts fresh.
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 // Snapshot of one PartitionInfo plus the on-disk size recovery truncates
 // the file back to. `file` is the basename; the work dir is implicit so a
@@ -50,7 +52,6 @@ struct CheckpointPartition {
   uint64_t edges = 0;
   uint64_t version = 0;
   uint64_t disk_bytes = 0;  // actual file size at publish time
-  std::vector<std::pair<uint64_t, uint64_t>> segments;
 };
 
 struct CheckpointManifest {
@@ -61,12 +62,13 @@ struct CheckpointManifest {
   uint64_t base_edges = 0;
   uint64_t file_counter = 0;
   std::vector<CheckpointPartition> partitions;
-  // (i, j) -> (version_i, version_j), flattened from the engine's map.
+  // (i, j) -> (n_i, n_j), flattened from the engine's map: every join
+  // among the first n_i edges of partition i and the first n_j of j is done.
   struct PairDone {
     uint64_t i = 0;
     uint64_t j = 0;
-    uint64_t vi = 0;
-    uint64_t vj = 0;
+    uint64_t ni = 0;
+    uint64_t nj = 0;
   };
   std::vector<PairDone> pair_done;
   std::vector<uint64_t> dedup_hashes;  // sorted ascending

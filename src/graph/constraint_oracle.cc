@@ -10,37 +10,45 @@ namespace grapple {
 
 namespace {
 
-// Tags a token that names a shard's buffered miss rather than a payload id
-// (payload ids stay below PayloadTable::kMaxPayloads).
-constexpr uint32_t kPending = PayloadTable::kMaxPayloads;
+// Clears a per-round buffer, but drops it when a large round grew it, so
+// one big round does not keep its capacity for the small ones after it
+// (as MergeMemo::Clear does).
+template <typename T>
+void ResetBuffer(std::vector<T>* buffer) {
+  constexpr size_t kKeepBytes = size_t{64} << 10;
+  if (buffer->capacity() * sizeof(T) > kKeepBytes) {
+    std::vector<T>().swap(*buffer);
+  } else {
+    buffer->clear();
+  }
+}
 
 }  // namespace
 
 struct ConstraintOracle::Shard {
+  // A pair this shard's probes missed, and how many of its Merge calls
+  // returned it.
   struct Miss {
     MergeMemo::Key key;
-    SolveResult verdict;
-    size_t begin;  // result bytes: [begin, end) of `bytes`
-    size_t end;
+    uint32_t solve;  // index into solves_, after CollectMisses()
+    uint64_t joins;
   };
 
   Shard(const Icfet* icfet, const SolverLimits& limits) : decoder(icfet), solver(limits) {}
 
   void Clear() {
     index.Clear();
-    misses.clear();
-    bytes.clear();
-    resolved.clear();
+    ResetBuffer(&misses);
+    ResetBuffer(&bytes);
     merges = 0;
   }
 
   PathDecoder decoder;
   Solver solver;
-  MergeMemo index;                // (a, b) -> index into misses (memo on)
-  std::vector<Miss> misses;       // in first-probe order
-  std::vector<uint8_t> bytes;     // sat results, back to back
-  std::vector<uint8_t> merged;    // MergeBytes output
-  std::vector<uint32_t> resolved;  // miss -> payload id, after the commit
+  MergeMemo index;              // (a, b) -> index into misses (memo on)
+  std::vector<Miss> misses;     // in first-probe order
+  std::vector<uint8_t> bytes;   // sat results this shard solved, back to back
+  std::vector<uint8_t> merged;  // MergeBytes output
   uint64_t merges = 0;
 };
 
@@ -72,6 +80,8 @@ void ConstraintOracle::BeginRound(size_t shards) {
     shards_[s]->Clear();
   }
   round_shards_ = shards;
+  ResetBuffer(&solves_);
+  solve_index_.Clear();
 }
 
 uint32_t ConstraintOracle::Merge(size_t shard_index, uint32_t a, uint32_t b) {
@@ -84,74 +94,99 @@ uint32_t ConstraintOracle::Merge(size_t shard_index, uint32_t a, uint32_t b) {
       return value;
     }
     if (shard.index.Find(key, &value)) {
-      return shard.misses[value].verdict == SolveResult::kUnsat ? kUnsat : kPending | value;
+      ++shard.misses[value].joins;
+      return kPendingBit | value;
     }
   }
-  shard.merged.clear();
-  SolveResult verdict = MergeBytes(&shard, payloads_.Bytes(a), payloads_.Bytes(b), &shard.merged);
   uint32_t miss = static_cast<uint32_t>(shard.misses.size());
-  size_t begin = shard.bytes.size();
-  if (verdict != SolveResult::kUnsat) {
-    shard.bytes.insert(shard.bytes.end(), shard.merged.begin(), shard.merged.end());
-  }
-  shard.misses.push_back({key, verdict, begin, shard.bytes.size()});
+  shard.misses.push_back({key, 0, 1});
   if (options_.enable_cache) {
     shard.index.Insert(key, miss);
   }
-  return verdict == SolveResult::kUnsat ? kUnsat : kPending | miss;
+  return kPendingBit | miss;
 }
 
-PayloadBytes ConstraintOracle::BytesOf(size_t shard_index, uint32_t token) const {
-  if ((token & kPending) == 0) {
-    return payloads_.Bytes(token);
-  }
-  const Shard& shard = *shards_[shard_index];
-  const Shard::Miss& miss = shard.misses[token & ~kPending];
-  return {shard.bytes.data() + miss.begin, miss.end - miss.begin};
-}
-
-void ConstraintOracle::CommitRound() {
+size_t ConstraintOracle::CollectMisses() {
   for (size_t s = 0; s < round_shards_; ++s) {
-    Shard& shard = *shards_[s];
-    shard.resolved.resize(shard.misses.size());
-    uint64_t checked = 0;
-    for (size_t k = 0; k < shard.misses.size(); ++k) {
-      const Shard::Miss& miss = shard.misses[k];
-      uint32_t value = 0;
-      if (options_.enable_cache && memo_.Find(miss.key, &value)) {
-        // An earlier shard merged the same pair this round.
-        shard.resolved[k] = value;
+    for (Shard::Miss& miss : shards_[s]->misses) {
+      uint32_t solve = 0;
+      if (options_.enable_cache && solve_index_.Find(miss.key, &solve)) {
+        // An earlier shard missed the same pair this round.
+        miss.solve = solve;
         continue;
       }
-      value = miss.verdict == SolveResult::kUnsat
-                  ? kUnsat
-                  : payloads_.Intern(shard.bytes.data() + miss.begin, miss.end - miss.begin);
+      miss.solve = static_cast<uint32_t>(solves_.size());
       if (options_.enable_cache) {
-        memo_.Insert(miss.key, value);
+        solve_index_.Insert(miss.key, miss.solve);
       }
-      shard.resolved[k] = value;
-      ++checked;
-      if (miss.verdict == SolveResult::kUnsat) {
-        metrics_.Add(c_unsat_);
-      } else if (miss.verdict == SolveResult::kUnknown) {
+      solves_.push_back(Solve{miss.key});
+    }
+  }
+  return solves_.size();
+}
+
+void ConstraintOracle::SolveMisses(size_t shard_index, size_t begin, size_t end) {
+  Shard& shard = *shards_[shard_index];
+  for (size_t k = begin; k < end; ++k) {
+    Solve& solve = solves_[k];
+    shard.merged.clear();
+    solve.verdict = MergeBytes(&shard, payloads_.Bytes(solve.key.a), payloads_.Bytes(solve.key.b),
+                               &shard.merged);
+    solve.shard = static_cast<uint32_t>(shard_index);
+    solve.begin = shard.bytes.size();
+    if (solve.verdict != SolveResult::kUnsat) {
+      shard.bytes.insert(shard.bytes.end(), shard.merged.begin(), shard.merged.end());
+    }
+    solve.end = shard.bytes.size();
+  }
+}
+
+uint64_t ConstraintOracle::CommitRound() {
+  for (Solve& solve : solves_) {
+    if (solve.verdict == SolveResult::kUnsat) {
+      solve.value = kUnsat;
+      metrics_.Add(c_unsat_);
+    } else {
+      const std::vector<uint8_t>& bytes = shards_[solve.shard]->bytes;
+      solve.value = payloads_.Intern(bytes.data() + solve.begin, solve.end - solve.begin);
+      if (solve.verdict == SolveResult::kUnknown) {
         metrics_.Add(c_unknown_);
       }
     }
-    metrics_.Add(c_merges_, shard.merges);
-    metrics_.Add(c_checked_, checked);
-    metrics_.Add(c_cache_hits_, shard.merges - checked);
+    if (options_.enable_cache) {
+      memo_.Insert(solve.key, solve.value);
+    }
   }
+  uint64_t merges = 0;
+  uint64_t unsat_joins = 0;
+  for (size_t s = 0; s < round_shards_; ++s) {
+    const Shard& shard = *shards_[s];
+    merges += shard.merges;
+    for (const Shard::Miss& miss : shard.misses) {
+      if (solves_[miss.solve].value == kUnsat) {
+        unsat_joins += miss.joins;
+      }
+    }
+  }
+  metrics_.Add(c_merges_, merges);
+  metrics_.Add(c_checked_, solves_.size());
+  metrics_.Add(c_cache_hits_, merges - solves_.size());
+  return unsat_joins;
 }
 
 uint32_t ConstraintOracle::Resolve(size_t shard_index, uint32_t token) const {
-  return (token & kPending) == 0 ? token : shards_[shard_index]->resolved[token & ~kPending];
+  if (!IsPending(token)) {
+    return token;
+  }
+  return solves_[shards_[shard_index]->misses[token & ~kPendingBit].solve].value;
 }
 
 uint32_t ConstraintOracle::MergeAndCheck(uint32_t a, uint32_t b) {
   BeginRound(1);
   uint32_t token = Merge(0, a, b);
+  SolveMisses(0, 0, CollectMisses());
   CommitRound();
-  return token == kUnsat ? kUnsat : Resolve(0, token);
+  return Resolve(0, token);
 }
 
 SolveResult ConstraintOracle::Check(Shard* shard, const PathEncoding& full) {

@@ -14,12 +14,15 @@
 // The oracle owns its engine's payload id space (PayloadTable): payloads
 // are named by ids everywhere in the join loop. Merges run in join rounds
 // (DESIGN.md §16): during a round the table and the memo are read-only, and
-// shards probe them without a lock. A miss is merged and solved on the
-// shard's own worker and buffered; CommitRound() then interns the buffered
-// results and memoizes their pairs, in shard order, on one thread. So ids
-// and counters do not depend on thread timing, and the oracle_* counters
-// count exactly what a sequential run would: oracle_constraints_checked_total
-// is the number of distinct pairs committed.
+// shards probe them without a lock. A miss only records its pair in the
+// shard's miss buffer. The round's solve step then takes the distinct
+// missing pairs of all shards, in shard-then-first-probe order, and merges,
+// decodes and solves each exactly once, split evenly over the shards'
+// decoders and solvers. CommitRound() interns the results and memoizes their
+// pairs in that order, on one thread. So ids and counters do not depend on
+// thread timing, and the oracle_* counters count exactly what a sequential
+// run would: oracle_constraints_checked_total is the number of distinct
+// pairs solved, and the oracle_solve_ns histogram holds one sample each.
 #ifndef GRAPPLE_SRC_GRAPH_CONSTRAINT_ORACLE_H_
 #define GRAPPLE_SRC_GRAPH_CONSTRAINT_ORACLE_H_
 
@@ -74,18 +77,26 @@ class ConstraintOracle {
   // --- join rounds ---
   // Opens a round with `shards` empty miss buffers.
   void BeginRound(size_t shards);
-  // Merges payloads `a` and `b` on behalf of `shard`: kUnsat, or a token
-  // naming the merged payload. Calls for distinct shards may run
-  // concurrently. A token is a payload id when the pair was memoized before
-  // the round; otherwise it names the shard's buffered miss until
-  // CommitRound() (BytesOf and Resolve accept both).
+  // Merges payloads `a` and `b` on behalf of `shard`: kUnsat or the merged
+  // payload's id when the pair was memoized before the round, else a pending
+  // token naming the shard's recorded miss (IsPending), which Resolve turns
+  // into an outcome after CommitRound(). Calls for distinct shards may run
+  // concurrently.
   uint32_t Merge(size_t shard, uint32_t a, uint32_t b);
-  // The bytes a sat token names (thread-safe like Merge).
-  PayloadBytes BytesOf(size_t shard, uint32_t token) const;
-  // Interns the buffered results and memoizes their pairs, shard by shard,
-  // and folds the round into the oracle_* counters. Single-threaded.
-  void CommitRound();
-  // The payload id of a sat token, after CommitRound().
+  static bool IsPending(uint32_t token) { return token != kUnsat && token >= kPendingBit; }
+  // The solve step, between the round's Merge calls and CommitRound().
+  // CollectMisses() gathers the distinct missing pairs of every shard and
+  // returns how many there are; SolveMisses(shard, begin, end) merges and
+  // solves pairs [begin, end) of them with `shard`'s decoder and solver.
+  // SolveMisses calls for distinct shards may run concurrently.
+  size_t CollectMisses();
+  void SolveMisses(size_t shard, size_t begin, size_t end);
+  // Interns the solved results and memoizes their pairs in collection
+  // order, and folds the round into the oracle_* counters. Returns how many
+  // of the round's Merge calls returned a pending token whose pair proved
+  // unsat. Single-threaded.
+  uint64_t CommitRound();
+  // The outcome of a Merge token after CommitRound(): kUnsat or a payload id.
   uint32_t Resolve(size_t shard, uint32_t token) const;
 
   // One merge outside any round: kUnsat or the merged payload's id.
@@ -102,7 +113,8 @@ class ConstraintOracle {
   ConstraintOracle(const Icfet* icfet, const Options& options);
 
   // The miss path: merges `a` and `b` into `out` (left empty when unsat)
-  // and decides the full path with Check(). Runs on the shard's worker.
+  // and decides the full path with Check(). Runs in the round's solve step
+  // with `shard`'s decoder and solver.
   virtual SolveResult MergeBytes(Shard* shard, PayloadBytes a, PayloadBytes b,
                                  std::vector<uint8_t>* out) = 0;
   // Decodes and solves `full` with the shard's decoder and solver,
@@ -114,11 +126,25 @@ class ConstraintOracle {
   obs::MetricId c_lookup_ns_;
 
  private:
+  // One distinct missing pair of the round and its solve.
+  struct Solve {
+    MergeMemo::Key key;
+    SolveResult verdict = SolveResult::kSat;
+    uint32_t shard = 0;  // whose `bytes` hold the result: [begin, end)
+    size_t begin = 0;
+    size_t end = 0;
+    uint32_t value = 0;  // kUnsat or the payload id, after the commit
+  };
+  // Tags a pending token (payload ids stay below PayloadTable::kMaxPayloads).
+  static constexpr uint32_t kPendingBit = PayloadTable::kMaxPayloads;
+
   Options options_;
   PayloadTable payloads_;
   MergeMemo memo_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t round_shards_ = 0;
+  std::vector<Solve> solves_;  // the round's distinct misses
+  MergeMemo solve_index_;      // pair -> index into solves_ (memo on)
   obs::MetricId c_merges_;
   obs::MetricId c_checked_;
   obs::MetricId c_cache_hits_;

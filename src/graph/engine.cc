@@ -19,9 +19,9 @@ namespace grapple {
 
 namespace {
 
-// A join result waiting for integration. `payload` is the oracle's token
-// for the merged payload: a payload id, or (for a pair first merged this
-// round) a reference into the producing shard's miss buffer until the
+// A join result waiting for integration. `payload` is the oracle's Merge
+// token: a payload id, or (for a pair that missed the memo this round) a
+// pending token that Resolve turns into a payload id or kUnsat once the
 // round commits.
 struct Candidate {
   VertexId src;
@@ -658,7 +658,7 @@ bool GraphEngine::TryResume(VertexId num_vertices) {
     index_->variants[triple] = count;
   }
   for (const CheckpointManifest::PairDone& pd : manifest.pair_done) {
-    pair_done_[{static_cast<size_t>(pd.i), static_cast<size_t>(pd.j)}] = {pd.vi, pd.vj};
+    pair_done_[{static_cast<size_t>(pd.i), static_cast<size_t>(pd.j)}] = {pd.ni, pd.nj};
   }
   base_edges_ = manifest.base_edges;
   metrics_.Add(c_base_edges_, manifest.base_edges);
@@ -686,8 +686,8 @@ void GraphEngine::WriteCheckpoint() {
   manifest.file_counter = store_.file_counter();
   manifest.partitions = store_.SnapshotForCheckpoint();
   manifest.pair_done.reserve(pair_done_.size());
-  for (const auto& [pair, versions] : pair_done_) {
-    manifest.pair_done.push_back({pair.first, pair.second, versions.first, versions.second});
+  for (const auto& [pair, counts] : pair_done_) {
+    manifest.pair_done.push_back({pair.first, pair.second, counts.first, counts.second});
   }
   manifest.dedup_hashes = index_->content.Sorted();
   manifest.variants.assign(index_->variants.begin(), index_->variants.end());
@@ -730,9 +730,7 @@ void GraphEngine::Run() {
     size_t n = store_.NumPartitions();
     for (size_t i = 0; i < n && !found; ++i) {
       for (size_t j = i; j < n && !found; ++j) {
-        auto versions = std::make_pair(store_.Info(i).version, store_.Info(j).version);
-        auto it = pair_done_.find({i, j});
-        if (it == pair_done_.end() || it->second != versions) {
+        if (Stale(i, j)) {
           pick_i = i;
           pick_j = j;
           found = true;
@@ -793,16 +791,14 @@ void GraphEngine::Run() {
 
 bool GraphEngine::PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* next_j) const {
   // Mirror the Run() scan, starting just past (pi, pj): assuming that pair
-  // converges (no version bumps, no splits), the first stale pair after it
-  // is exactly what the scheduler picks next.
+  // converges (no new edges, no splits), the first stale pair after it is
+  // exactly what the scheduler picks next.
   size_t n = store_.NumPartitions();
   size_t i = pi;
   size_t j = pj + 1;
   for (; i < n; ++i, j = i) {
     for (; j < n; ++j) {
-      auto versions = std::make_pair(store_.Info(i).version, store_.Info(j).version);
-      auto it = pair_done_.find({i, j});
-      if (it == pair_done_.end() || it->second != versions) {
+      if (Stale(i, j)) {
         *next_i = i;
         *next_j = j;
         return true;
@@ -810,6 +806,81 @@ bool GraphEngine::PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* 
     }
   }
   return false;
+}
+
+bool GraphEngine::Stale(size_t i, size_t j) const {
+  auto it = pair_done_.find({i, j});
+  return it == pair_done_.end() || store_.Info(i).edges > it->second.first ||
+         store_.Info(j).edges > it->second.second;
+}
+
+void GraphEngine::RemapProgressAfterSplit(size_t p, size_t pieces, const LoadedPair& pair,
+                                          VertexId lo, VertexId hi) {
+  // The prefix lengths the entries name for p, ascending, and for each the
+  // number of p's first n edges that went to every piece. p's file listed
+  // the resident edges of [lo, hi) in pair order, and each piece kept that
+  // order, so one walk over the pair counts them all.
+  std::vector<uint64_t> prefixes;
+  for (const auto& [key, counts] : pair_done_) {
+    if (key.first == p) {
+      prefixes.push_back(counts.first);
+    }
+    if (key.second == p) {
+      prefixes.push_back(counts.second);
+    }
+  }
+  std::sort(prefixes.begin(), prefixes.end());
+  prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  std::vector<uint64_t> per_piece(prefixes.size() * pieces, 0);
+  std::vector<uint64_t> running(pieces, 0);
+  size_t next = 0;
+  uint64_t seen = 0;
+  auto record = [&] {
+    for (; next < prefixes.size() && prefixes[next] <= seen; ++next) {
+      std::copy(running.begin(), running.end(), per_piece.begin() + next * pieces);
+    }
+  };
+  record();
+  for (size_t e = 0; e < pair.NumEdges() && next < prefixes.size(); ++e) {
+    VertexId src = pair.EdgeAt(e).src;
+    if (src >= lo && src < hi) {
+      ++running[store_.PartitionOf(src) - p];
+      ++seen;
+      record();
+    }
+  }
+  seen = UINT64_MAX;
+  record();
+  auto count_in = [&](uint64_t prefix, size_t piece) {
+    size_t at = std::lower_bound(prefixes.begin(), prefixes.end(), prefix) - prefixes.begin();
+    return per_piece[at * pieces + piece];
+  };
+
+  // (p, q) becomes (p_k, q), and (p, p) becomes (p_k, p_l); indices past p
+  // shift by the pieces added.
+  auto shifted = [&](size_t index) { return index > p ? index + pieces - 1 : index; };
+  std::map<std::pair<size_t, size_t>, std::pair<uint64_t, uint64_t>> remapped;
+  for (const auto& [key, counts] : pair_done_) {
+    const auto [a, b] = key;
+    if (a != p && b != p) {
+      remapped[{shifted(a), shifted(b)}] = counts;
+    } else if (a == p && b == p) {
+      for (size_t k = 0; k < pieces; ++k) {
+        for (size_t l = k; l < pieces; ++l) {
+          remapped[{p + k, p + l}] = {count_in(counts.first, k), count_in(counts.second, l)};
+        }
+      }
+    } else if (a == p) {
+      for (size_t k = 0; k < pieces; ++k) {
+        remapped[{p + k, shifted(b)}] = {count_in(counts.first, k), counts.second};
+      }
+    } else {
+      for (size_t k = 0; k < pieces; ++k) {
+        remapped[{a, p + k}] = {counts.first, count_in(counts.second, k)};
+      }
+    }
+  }
+  pair_done_.swap(remapped);
 }
 
 obs::MetricsSnapshot GraphEngine::Metrics() const {
@@ -851,18 +922,17 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   GraphEngineIndexHolder& index = *index_;
   const bool record_prov = provenance_ != nullptr;
 
-  // Delta frontier: if this pair previously reached a local fixpoint at
-  // versions (vi, vj), the old x old joins are already done — only edges
-  // recorded after those versions seed the frontier. Edge files are append
-  // ordered and rewrites preserve prefix order, so "new" is a suffix of
-  // each partition's load.
+  // Delta frontier: the joins among the first (n_i, n_j) edges this pair
+  // recorded as done are not redone; only the edges after those prefixes
+  // seed the frontier. Edge files keep their order (partition_store.h), so
+  // "new" is a suffix of each partition's load.
   size_t old_i = 0;
   size_t old_j = 0;
   auto prev_done = pair_done_.find({pi, pj});
   if (prev_done != pair_done_.end()) {
-    old_i = store_.EdgesAtVersion(pi, prev_done->second.first);
+    old_i = prev_done->second.first;
     if (pi != pj) {
-      old_j = store_.EdgesAtVersion(pj, prev_done->second.second);
+      old_j = prev_done->second.second;
     }
   }
   std::vector<uint32_t> frontier;
@@ -877,7 +947,6 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   std::vector<EdgeRecord> external;
   bool changed_i = false;
   bool changed_j = false;
-  bool complete = true;
 
   // Shard count is pinned to the configured join parallelism, not to the
   // runtime's worker count: shards cover contiguous frontier ranges and
@@ -902,12 +971,37 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     return true;
   };
 
+  // Runs fn(task) for task in [0, tasks) as foreground tasks on the
+  // runtime, tagged with this pair's locality key so locality-aware
+  // stealing prefers to leave them where the pair's Hint()ed partitions are
+  // warm. The group wait help-executes unclaimed tasks, so this cannot
+  // deadlock even when every runtime worker is occupied by a checker task.
+  // One task runs inline.
+  auto run_tasks = [&](size_t tasks, auto&& fn) {
+    if (tasks <= 1) {
+      fn(0);
+      return;
+    }
+    uint32_t checker = obs::ProfCurrentChecker();
+    uint64_t pair_key = (static_cast<uint64_t>(pi + 1) << 32) | static_cast<uint64_t>(pj + 1);
+    TaskGroup group(runtime_);
+    for (size_t task = 0; task < tasks; ++task) {
+      group.Submit(TaskLane::kForeground, pair_key + task, [&, task, checker] {
+        obs::ProfChecker prof_checker(checker);
+        obs::ProfPair prof_pair(static_cast<uint32_t>(pi), static_cast<uint32_t>(pj));
+        obs::ProfPhase prof_phase("join");
+        fn(task);
+      });
+    }
+    group.Wait();
+  };
+
   while (!frontier.empty()) {
     metrics_.Add(c_join_rounds_);
     // --- parallel candidate generation ---
     // The round is read-only on everything shared: the pair, the dedup
-    // index, and the oracle's payload table and memo. Memo misses are
-    // buffered per shard and committed at integration.
+    // index, and the oracle's payload table and memo. A memo miss is only
+    // recorded; the solve step below settles every distinct one.
     size_t frontier_size = frontier.size();
     size_t shards_used = std::min(frontier_size, shards);
     oracle_->BeginRound(shards_used);
@@ -933,11 +1027,14 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
           ++local_unsat;
           return;
         }
-        PayloadBytes merged = oracle_->BytesOf(shard, token);
+        // A pending miss has no bytes yet: its candidates skip the settled
+        // pre-filter, and integration drops them if the pair proves unsat.
+        const bool pending = ConstraintOracle::IsPending(token);
+        PayloadBytes merged = pending ? PayloadBytes{} : oracle_->Bytes(token);
         CandidateProvenance prov;
         bool prov_ready = false;
         for (Label result : results) {
-          if (settled({a.src, b.dst, result}, merged)) {
+          if (!pending && settled({a.src, b.dst, result}, merged)) {
             continue;
           }
           out.push_back({a.src, b.dst, result, token});
@@ -977,49 +1074,33 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       unsat.fetch_add(local_unsat, std::memory_order_relaxed);
       metrics_.AddNanos(c_candidates_ns_, shard_timer.ElapsedNanos());
     };
-    if (shards_used <= 1) {
-      join_shard(0, 0, frontier_size);
-    } else {
-      // Explicit task objects on the unified runtime: one foreground task
-      // per contiguous shard, tagged with this pair's locality key so
-      // locality-aware stealing prefers to leave them where the pair's
-      // Hint()ed partitions are warm. The group wait help-executes
-      // unclaimed shards, so this cannot deadlock even when every runtime
-      // worker is occupied by a checker task.
-      uint32_t checker = obs::ProfCurrentChecker();
-      uint64_t pair_key =
-          (static_cast<uint64_t>(pi + 1) << 32) | static_cast<uint64_t>(pj + 1);
-      size_t chunk = (frontier_size + shards_used - 1) / shards_used;
-      TaskGroup group(runtime_);
-      for (size_t shard = 0; shard < shards_used; ++shard) {
-        size_t begin = shard * chunk;
-        size_t end = std::min(frontier_size, begin + chunk);
-        if (begin >= end) {
-          shard_candidates[shard].clear();
-          if (record_prov) {
-            shard_provenance[shard].clear();
-          }
-          continue;
-        }
-        group.Submit(TaskLane::kForeground, pair_key + shard,
-                     [&, shard, begin, end, checker] {
-                       obs::ProfChecker prof_checker(checker);
-                       obs::ProfPair prof_pair(static_cast<uint32_t>(pi),
-                                               static_cast<uint32_t>(pj));
-                       obs::ProfPhase prof_phase("join");
-                       join_shard(shard, begin, end);
-                     });
-      }
-      group.Wait();
+    // Contiguous frontier chunks, one per shard.
+    size_t chunk = (frontier_size + shards_used - 1) / shards_used;
+    run_tasks(shards_used, [&](size_t shard) {
+      join_shard(shard, std::min(frontier_size, shard * chunk),
+                 std::min(frontier_size, (shard + 1) * chunk));
+    });
+    // --- solve step ---
+    // Each distinct pair the shards missed is merged and solved once, the
+    // pairs split evenly over the shards' decoders and solvers.
+    size_t misses = oracle_->CollectMisses();
+    if (misses > 0) {
+      size_t solvers = std::min(misses, shards_used);
+      size_t per_solver = (misses + solvers - 1) / solvers;
+      run_tasks(solvers, [&](size_t solver) {
+        WallTimer solve_timer;
+        oracle_->SolveMisses(solver, std::min(misses, solver * per_solver),
+                             std::min(misses, (solver + 1) * per_solver));
+        metrics_.AddNanos(c_candidates_ns_, solve_timer.ElapsedNanos());
+      });
     }
-    metrics_.Add(c_joins_attempted_, joins.load());
-    metrics_.Add(c_unsat_pruned_, unsat.load());
-    metrics_.Observe(h_join_round_joins_, joins.load());
-
     // --- sequential integration ---
     WallTimer integrate_timer;
-    // Interns this round's new merge results, shard by shard.
-    oracle_->CommitRound();
+    // Interns this round's solved results, in collection order.
+    uint64_t unsat_misses = oracle_->CommitRound();
+    metrics_.Add(c_joins_attempted_, joins.load());
+    metrics_.Add(c_unsat_pruned_, unsat.load() + unsat_misses);
+    metrics_.Observe(h_join_round_joins_, joins.load());
     std::fill(in_frontier.begin(), in_frontier.end(), 0);
     std::vector<uint32_t> next_frontier;
     // `out_hash` (when recording) receives the content hash the record ended
@@ -1095,6 +1176,9 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       for (size_t c = 0; c < candidates.size(); ++c) {
         const Candidate& candidate = candidates[c];
         uint32_t payload = oracle_->Resolve(shard, candidate.payload);
+        if (payload == ConstraintOracle::kUnsat) {
+          continue;  // its join was counted in engine_unsat_pruned_total
+        }
         const Triple edge{candidate.src, candidate.dst, candidate.label};
         // Settled by what this round integrated before it.
         if (settled(edge, oracle_->Bytes(payload))) {
@@ -1126,22 +1210,42 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
     metrics_.AddNanos(c_integrate_ns_, integrate_timer.ElapsedNanos());
     // Eager memory guard: when the resident pair has outgrown the budget
     // with joins still pending, stop the local fixpoint early, write back
-    // (splitting), and reschedule. An empty frontier is the local fixpoint,
-    // whatever the resident size: marking it incomplete would re-pick this
-    // pair forever.
+    // (splitting), and reschedule; the pair's progress entry keeps the
+    // joins done so far. An empty frontier is the local fixpoint, whatever
+    // the resident size.
     metrics_.MaxGauge("engine_peak_resident_bytes", static_cast<double>(pair.resident_bytes()));
     if (!frontier.empty() && pair.resident_bytes() > options_.memory_budget_bytes) {
-      complete = false;
       break;
     }
   }
 
+  // Progress: every join among the resident edges that are not in the
+  // pending frontier is done. The frontier holds the edges inserted by the
+  // last integration, the tail of the pair, so the done edges are a prefix
+  // of each partition's written order. A complete pair has an empty
+  // frontier; an early stop keeps the joins it did.
+  const size_t done_edges = pair.NumEdges() - frontier.size();
+  uint64_t done_i = count_i;
+  uint64_t done_j = total_loaded - count_i;
+  const PartitionInfo& first = store_.Info(pi);
+  for (size_t e = total_loaded; e < done_edges; ++e) {
+    VertexId src = pair.EdgeAt(e).src;
+    if (src >= first.lo && src < first.hi) {
+      ++done_i;
+    } else {
+      ++done_j;
+    }
+  }
+  pair_done_[{pi, pj}] = pi == pj ? std::make_pair(done_i, done_i) : std::make_pair(done_i, done_j);
+
   // --- write back ---
   uint64_t target = options_.memory_budget_bytes / 4;
-  auto writeback = [&](size_t index_p, bool changed, VertexId lo, VertexId hi) {
+  auto writeback = [&](size_t index_p, bool changed) {
     if (!changed) {
-      return false;
+      return;
     }
+    const VertexId lo = store_.Info(index_p).lo;
+    const VertexId hi = store_.Info(index_p).hi;
     std::vector<EdgeRecord> edges;
     uint64_t bytes = 0;
     for (size_t e = 0; e < pair.NumEdges(); ++e) {
@@ -1161,22 +1265,19 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
       size_t pieces = store_.SplitAndRewrite(index_p, std::move(edges), target);
       if (pieces > 1) {
         metrics_.Add(c_partition_splits_, pieces - 1);
-        return true;  // layout changed
+        RemapProgressAfterSplit(index_p, pieces, pair, lo, hi);
       }
-      return false;
+      return;
     }
     store_.Rewrite(index_p, edges);
-    return false;
   };
 
   // Write the higher-indexed partition first so index pi stays valid if pj
   // splits.
-  bool layout_changed = false;
   if (pi != pj) {
-    layout_changed |= writeback(pj, changed_j, store_.Info(pj).lo, store_.Info(pj).hi);
+    writeback(pj, changed_j);
   }
-  layout_changed |= writeback(pi, changed_i || (pi == pj && changed_j), store_.Info(pi).lo,
-                              store_.Info(pi).hi);
+  writeback(pi, changed_i || (pi == pj && changed_j));
 
   // Flush externals grouped by owner.
   if (!external.empty()) {
@@ -1198,17 +1299,6 @@ void GraphEngine::ProcessPair(size_t pi, size_t pj) {
   }
 
   metrics_.MaxGauge("engine_peak_partitions", static_cast<double>(store_.NumPartitions()));
-
-  if (layout_changed) {
-    // Partition indices shifted; all bookkeeping is stale.
-    pair_done_.clear();
-    return;
-  }
-  if (complete) {
-    pair_done_[{pi, pj}] = {store_.Info(pi).version, store_.Info(pj).version};
-  } else {
-    pair_done_.erase({pi, pj});
-  }
 }
 
 void GraphEngine::ForEachEdge(const std::function<void(const EdgeRecord&)>& fn) {

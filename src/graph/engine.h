@@ -5,9 +5,16 @@
 // pairs (u -A-> v, v -B-> w) against the grammar, asks the constraint oracle
 // whether the combined path is feasible, and adds the induced edge
 // u -C-> w. Edges owned by unloaded partitions are buffered and appended as
-// deltas; partitions that outgrow the budget are split eagerly. The global
-// fixpoint is reached when every partition pair has been processed against
-// the latest version of both sides with no new edges produced.
+// deltas; partitions that outgrow the budget are split eagerly.
+//
+// Pair progress is kept as edge-prefix counts: pair_done_[{i, j}] =
+// {n_i, n_j} means every join among the first n_i edges of partition i and
+// the first n_j of partition j is done (partition files keep their edge
+// order, partition_store.h). A pair is stale when either side now has more
+// edges, and its next visit joins only the edges past the prefixes. A pair
+// that stops early over budget records the prefix it finished, and a split
+// hands each piece its share of the prefix, so no join is redone. The
+// global fixpoint is reached when no pair is stale.
 #ifndef GRAPPLE_SRC_GRAPH_ENGINE_H_
 #define GRAPPLE_SRC_GRAPH_ENGINE_H_
 
@@ -162,6 +169,15 @@ class GraphEngine : public EdgeSink {
   // produces no writes: the first stale pair after it in scan order.
   // Feeds the store's prefetcher; returns false when no such pair exists.
   bool PredictNextPair(size_t pi, size_t pj, size_t* next_i, size_t* next_j) const;
+  // True when pair (i, j) has never been processed or either partition has
+  // more edges than the prefix its pair_done_ entry covers.
+  bool Stale(size_t i, size_t j) const;
+  // Rewrites pair_done_ after partition p, which held the resident edges of
+  // `pair` with sources in [lo, hi), was split into partitions
+  // p..p+pieces-1: (p, q) becomes (p_k, q) and (p, p) becomes (p_k, p_l),
+  // each piece counting how many of p's first n_p edges it received.
+  void RemapProgressAfterSplit(size_t p, size_t pieces, const LoadedPair& pair, VertexId lo,
+                               VertexId hi);
   // An edge's identity without its payload.
   struct Triple {
     VertexId src;
@@ -219,8 +235,8 @@ class GraphEngine : public EdgeSink {
   obs::MetricId c_ckpt_bytes_;
   obs::MetricId c_runs_resumed_;
   obs::MetricId c_phase_join_ns_;
-  // Join stages: LoadedPair build, candidate generation (summed over
-  // shards), integration.
+  // Join stages: LoadedPair build, candidate generation and the round's
+  // solve step (summed over tasks), integration.
   obs::MetricId c_index_build_ns_;
   obs::MetricId c_candidates_ns_;
   obs::MetricId c_integrate_ns_;
@@ -247,7 +263,8 @@ class GraphEngine : public EdgeSink {
   std::unique_ptr<GraphEngineIndexHolder> index_;
   bool finalized_ = false;
 
-  // Pair-scheduling bookkeeping: versions of (pi, pj) when last processed.
+  // Pair progress (i <= j): the edge-prefix counts (n_i, n_j) whose joins
+  // are done. See the header comment.
   std::map<std::pair<size_t, size_t>, std::pair<uint64_t, uint64_t>> pair_done_;
 
   // Checkpoint bookkeeping (only used when options_.checkpoint_interval>0).

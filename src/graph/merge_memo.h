@@ -9,9 +9,9 @@
 //
 // MergeMemo is a flat open-addressing map from a pair (id_a, id_b) to a
 // uint32 value: for the oracle's memo, the id of the merged payload or
-// kNone when the merge is unsat; for a join shard's miss buffer, the index
-// of the buffered miss. Nothing is evicted, so each distinct pair is merged
-// and solved exactly once per memo.
+// kNone when the merge is unsat; for a join shard's miss buffer and the
+// round's list of distinct misses, an index into them. Nothing is evicted,
+// so each distinct pair is merged and solved exactly once per memo.
 //
 // Neither class locks. Concurrent readers are safe while nobody writes; the
 // engine only interns and inserts between join rounds.

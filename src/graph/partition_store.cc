@@ -296,7 +296,6 @@ void PartitionStore::Initialize(std::vector<EdgeRecord> edges, VertexId num_vert
     std::shared_ptr<const std::vector<EdgeRecord>> content;
     WriteEdges(info.path, std::move(chunk), &info.bytes, &content);
     info.version = 1;
-    info.segments = {{1, info.edges}};
     CachePut(info.path, info.version, info.bytes, std::move(content));
     partitions_.push_back(std::move(info));
     begin = end;
@@ -465,10 +464,6 @@ void PartitionStore::Rewrite(size_t index, const std::vector<EdgeRecord>& edges)
   WriteEdges(info.path, edges, &info.bytes, &content);
   info.edges = edges.size();
   ++info.version;
-  // Rewrites preserve the prefix order of previously recorded edges (the
-  // engine serializes its loaded set in load order), so older segment
-  // boundaries stay valid.
-  info.segments.emplace_back(info.version, info.edges);
   evt::Emit(evt::kPartitionSpill, index, info.bytes);
   CachePut(info.path, info.version, info.bytes, std::move(content));
 }
@@ -486,7 +481,6 @@ void PartitionStore::Append(size_t index, const std::vector<EdgeRecord>& edges) 
   info.bytes += bytes;
   info.edges += edges.size();
   ++info.version;
-  info.segments.emplace_back(info.version, info.edges);
   evt::Emit(evt::kPartitionSpill, index, bytes, /*a0=*/1);
 }
 
@@ -497,41 +491,42 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
     Rewrite(index, edges);
     return 1;
   }
-  std::sort(edges.begin(), edges.end(), [](const EdgeRecord& a, const EdgeRecord& b) {
-    if (a.src != b.src) {
-      return a.src < b.src;
-    }
-    return a.dst < b.dst;
-  });
+  // Cut the intervals from a sorted (source, charge) view, so the edges
+  // themselves keep the caller's order.
+  std::vector<std::pair<VertexId, uint64_t>> sizes;
+  sizes.reserve(edges.size());
+  for (const EdgeRecord& edge : edges) {
+    sizes.emplace_back(edge.src, 16 + edge.payload.size());
+  }
+  std::sort(sizes.begin(), sizes.end());
 
   std::vector<PartitionInfo> pieces;
-  std::vector<std::vector<EdgeRecord>> piece_edges;
+  std::vector<size_t> piece_sizes;
   size_t begin = 0;
   VertexId interval_lo = original.lo;
   while (interval_lo < original.hi) {
     uint64_t size_estimate = 0;
     size_t end = begin;
     VertexId last_src = interval_lo;
-    while (end < edges.size()) {
-      uint64_t edge_size = 16 + edges[end].payload.size();
-      if (end > begin && size_estimate + edge_size > target_bytes &&
-          edges[end].src != last_src && edges[end].src > interval_lo) {
+    while (end < sizes.size()) {
+      const auto& [src, edge_size] = sizes[end];
+      if (end > begin && size_estimate + edge_size > target_bytes && src != last_src &&
+          src > interval_lo) {
         break;
       }
       size_estimate += edge_size;
-      last_src = edges[end].src;
+      last_src = src;
       ++end;
     }
     PartitionInfo info;
     info.lo = interval_lo;
-    info.hi = (end == edges.size()) ? original.hi : edges[end].src;
+    info.hi = (end == sizes.size()) ? original.hi : sizes[end].first;
     if (info.hi <= info.lo) {
       info.hi = info.lo + 1;
     }
     info.hi = std::min(info.hi, original.hi);
     pieces.push_back(info);
-    piece_edges.emplace_back(edges.begin() + static_cast<ptrdiff_t>(begin),
-                             edges.begin() + static_cast<ptrdiff_t>(end));
+    piece_sizes.push_back(end - begin);
     begin = end;
     interval_lo = info.hi;
   }
@@ -541,6 +536,18 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
     Rewrite(index, edges);
     return 1;
   }
+
+  std::vector<std::vector<EdgeRecord>> piece_edges(pieces.size());
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    piece_edges[i].reserve(piece_sizes[i]);
+  }
+  for (EdgeRecord& edge : edges) {
+    auto after = std::upper_bound(pieces.begin(), pieces.end(), edge.src,
+                                  [](VertexId v, const PartitionInfo& p) { return v < p.lo; });
+    piece_edges[static_cast<size_t>(after - pieces.begin()) - 1].push_back(std::move(edge));
+  }
+  edges.clear();
+  edges.shrink_to_fit();
 
   if (metrics_ != nullptr) {
     metrics_->Add(c_splits_);
@@ -563,26 +570,12 @@ size_t PartitionStore::SplitAndRewrite(size_t index, std::vector<EdgeRecord> edg
     std::shared_ptr<const std::vector<EdgeRecord>> content;
     WriteEdges(pieces[i].path, std::move(piece_edges[i]), &pieces[i].bytes, &content);
     pieces[i].version = original.version + 1;
-    pieces[i].segments = {{pieces[i].version, pieces[i].edges}};
     CachePut(pieces[i].path, pieces[i].version, pieces[i].bytes, std::move(content));
   }
   partitions_.erase(partitions_.begin() + static_cast<ptrdiff_t>(index));
   partitions_.insert(partitions_.begin() + static_cast<ptrdiff_t>(index), pieces.begin(),
                      pieces.end());
   return pieces.size();
-}
-
-uint64_t PartitionStore::EdgesAtVersion(size_t index, uint64_t version) const {
-  const PartitionInfo& info = partitions_[index];
-  uint64_t count = 0;
-  for (const auto& [seg_version, seg_count] : info.segments) {
-    if (seg_version <= version) {
-      count = seg_count;
-    } else {
-      break;
-    }
-  }
-  return count;
 }
 
 std::vector<CheckpointPartition> PartitionStore::SnapshotForCheckpoint() const {
@@ -599,7 +592,6 @@ std::vector<CheckpointPartition> PartitionStore::SnapshotForCheckpoint() const {
     cp.version = info.version;
     int64_t disk = FileSizeBytes(info.path);
     cp.disk_bytes = disk < 0 ? 0 : static_cast<uint64_t>(disk);
-    cp.segments = info.segments;
     snapshot.push_back(std::move(cp));
   }
   return snapshot;
@@ -640,7 +632,6 @@ bool PartitionStore::RestoreFromCheckpoint(const std::vector<CheckpointPartition
     info.bytes = cp.bytes;
     info.edges = cp.edges;
     info.version = cp.version;
-    info.segments = cp.segments;
     partitions_.push_back(std::move(info));
     referenced.insert(cp.file);
   }

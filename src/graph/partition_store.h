@@ -27,9 +27,16 @@
 //    always observes every earlier queued write to the same file; different
 //    files proceed in parallel.
 //
-// Both modes write byte-identical files. Metadata (bytes/edges/version/
-// segments) is updated on the caller's thread at the call, charged by
-// LayoutChargeBytes, and is never touched by background tasks.
+// Both modes write byte-identical files. Metadata (bytes/edges/version) is
+// updated on the caller's thread at the call, charged by LayoutChargeBytes,
+// and is never touched by background tasks.
+//
+// Edge order is part of the contract: a partition's file lists its edges in
+// the order they were written, Append adds at the end, and the engine
+// rewrites a partition as its loaded edges followed by the new ones. So the
+// first n edges of a partition stay its first n edges, and the engine keeps
+// pair progress as edge-prefix counts (engine.h). SplitAndRewrite keeps the
+// caller's order inside each piece for the same reason.
 #ifndef GRAPPLE_SRC_GRAPH_PARTITION_STORE_H_
 #define GRAPPLE_SRC_GRAPH_PARTITION_STORE_H_
 
@@ -57,11 +64,7 @@ struct PartitionInfo {
   std::string path;
   uint64_t bytes = 0;
   uint64_t edges = 0;
-  uint64_t version = 0;  // bumped on every write/append
-  // Append history: (version, cumulative edge count) after each mutation.
-  // Lets the engine compute, for a partition-pair last processed at version
-  // V, which loaded edges are new since then (delta-frontier joins).
-  std::vector<std::pair<uint64_t, uint64_t>> segments;
+  uint64_t version = 0;  // bumped on every write/append (cache validity)
 };
 
 class PartitionStore {
@@ -108,9 +111,11 @@ class PartitionStore {
 
   // Replaces partition `index` with >= 2 partitions of roughly
   // `target_bytes` each, redistributing `edges` (which must all belong to
-  // the partition's interval). No-op (plain rewrite) when the interval has
-  // a single vertex or the data fits. Returns the number of partitions the
-  // interval now spans.
+  // the partition's interval). Piece intervals are cut from the edges'
+  // (source, charge) sizes; each edge then moves into its piece in the
+  // caller's order. No-op (plain rewrite) when the interval has a single
+  // vertex or the data fits. Returns the number of partitions the interval
+  // now spans (at indices index..index+n-1).
   size_t SplitAndRewrite(size_t index, std::vector<EdgeRecord> edges, uint64_t target_bytes);
 
   // Read-ahead hint: the engine expects to Load these partitions soon.
@@ -172,10 +177,6 @@ class PartitionStore {
   // a dead run's leftovers. The fresh-start path when no usable manifest
   // exists.
   void CleanWorkDirForFreshStart();
-
-  // Cumulative edge count of partition `index` as of `version` (0 when the
-  // partition's history does not reach back that far, e.g. after a split).
-  uint64_t EdgesAtVersion(size_t index, uint64_t version) const;
 
   uint64_t TotalBytes() const;
   uint64_t TotalEdges() const;

@@ -1,11 +1,14 @@
 // Repeatable counters: a run's engine and oracle counters depend only on its
-// input. A spilling hbase-shaped subject (several partitions, cross-partition
-// joins) is analysed at 1, 2 and 4 join shards, twice each, and every
-// engine_*/oracle_* counter that is not a time (_ns) must be equal across
-// all six runs, in the alias phase and in each typestate phase. Reports and
-// edge counts were already exact; this pins the work counters (solves, memo
-// hits, unsat prunes) as well, which the bounded constraint cache used to
-// make depend on how concurrent shards interleaved.
+// input. A spilling zookeeper-shaped subject (many partitions, pairs of
+// different partitions, splits) is analysed at 1, 2 and 4 join shards,
+// twice each, and every engine_*/oracle_* counter that is not a time (_ns)
+// must be equal across all six runs, in the alias phase and in each
+// typestate phase. Reports and edge counts were already exact; this pins
+// the work counters (solves, memo hits, unsat prunes) as well, which the
+// bounded constraint cache used to make depend on how concurrent shards
+// interleaved. And at every shard count each distinct missed pair is
+// solved once per round: the oracle_solve_ns histogram holds exactly
+// oracle_constraints_checked_total samples.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -28,7 +31,7 @@ bool IsWorkCounter(const std::string& name) {
 }
 
 PhaseCounters RunCounters(size_t num_threads) {
-  Workload workload = GenerateWorkload(HBasePreset(0.2));
+  Workload workload = GenerateWorkload(ZooKeeperPreset(1.0));
   GrappleOptions options;
   options.engine.memory_budget_bytes = uint64_t{1} << 20;
   options.scheduling.num_threads = num_threads;
@@ -37,6 +40,10 @@ PhaseCounters RunCounters(size_t num_threads) {
   EXPECT_GT(result.TotalReports(), 0u);
   PhaseCounters out;
   for (const auto& phase : result.report.phases) {
+    auto solves = phase.metrics.histograms.find("oracle_solve_ns");
+    EXPECT_EQ(solves == phase.metrics.histograms.end() ? 0 : solves->second.count,
+              phase.metrics.CounterOr("oracle_constraints_checked_total"))
+        << phase.name << " at " << num_threads << " shards";
     auto& counters = out[phase.name];
     for (const auto& [name, value] : phase.metrics.counters) {
       if (IsWorkCounter(name)) {
@@ -53,6 +60,7 @@ TEST(CounterDeterminismTest, WorkCountersRepeatAcrossShardCountsAndRuns) {
   ASSERT_GT(reference.size(), 1u);  // alias plus the typestate phases
   const auto& alias = reference.at("alias");
   EXPECT_GT(alias.at("engine_partition_splits_total"), 0u);  // the subject spills
+  EXPECT_GT(alias.at("engine_pair_loads_total"), 1u);        // across partition pairs
   EXPECT_GT(alias.at("engine_unsat_pruned_total"), 0u);
   EXPECT_GT(alias.at("oracle_cache_hits_total"), 0u);
   for (size_t threads : {1, 2, 4}) {

@@ -33,14 +33,12 @@ CheckpointManifest SampleManifest() {
   p.edges = 123;
   p.version = 9;
   p.disk_bytes = 2048;
-  p.segments = {{1, 10}, {5, 60}, {9, 123}};
   m.partitions.push_back(p);
   p.lo = 500;
   p.hi = 1000;
   p.file = "part-000500-g7.edges";
-  p.segments.clear();
   m.partitions.push_back(p);
-  m.pair_done = {{0, 0, 9, 9}, {0, 1, 9, 4}, {1, 1, 4, 4}};
+  m.pair_done = {{0, 0, 123, 123}, {0, 1, 120, 7}, {1, 1, 123, 123}};
   m.dedup_hashes = {3, 99, 100, 1ULL << 62};
   m.variants = {{42, 2}, {77, 31}};
   m.has_provenance = true;
@@ -63,14 +61,13 @@ void ExpectManifestEq(const CheckpointManifest& a, const CheckpointManifest& b) 
     EXPECT_EQ(a.partitions[i].edges, b.partitions[i].edges);
     EXPECT_EQ(a.partitions[i].version, b.partitions[i].version);
     EXPECT_EQ(a.partitions[i].disk_bytes, b.partitions[i].disk_bytes);
-    EXPECT_EQ(a.partitions[i].segments, b.partitions[i].segments);
   }
   ASSERT_EQ(a.pair_done.size(), b.pair_done.size());
   for (size_t i = 0; i < a.pair_done.size(); ++i) {
     EXPECT_EQ(a.pair_done[i].i, b.pair_done[i].i);
     EXPECT_EQ(a.pair_done[i].j, b.pair_done[i].j);
-    EXPECT_EQ(a.pair_done[i].vi, b.pair_done[i].vi);
-    EXPECT_EQ(a.pair_done[i].vj, b.pair_done[i].vj);
+    EXPECT_EQ(a.pair_done[i].ni, b.pair_done[i].ni);
+    EXPECT_EQ(a.pair_done[i].nj, b.pair_done[i].nj);
   }
   EXPECT_EQ(a.dedup_hashes, b.dedup_hashes);
   EXPECT_EQ(a.variants, b.variants);
@@ -304,25 +301,32 @@ TEST_F(CheckpointEngineTest, CorruptManifestFallsBackToCleanRestart) {
   EXPECT_EQ(first, third);
 }
 
-TEST_F(CheckpointEngineTest, V1ManifestIsRefusedAsVersionSkew) {
-  TempDir dir("ckpt-v1");
-  auto [first, first_resumed] = RunOnce(dir.path());
-  EXPECT_EQ(first_resumed, 0u);
-  // Stamp the manifest as v1, the version whose partition files could be
-  // headerless record streams this build no longer reads. The checksum
-  // covers only the payload, so the version is the manifest's sole defect.
-  std::string manifest_path = CheckpointManifestPath(dir.path());
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(ReadFileBytes(manifest_path, &bytes));
-  ASSERT_EQ(bytes[8], kCheckpointFormatVersion);
-  bytes[8] = 1;  // the fixed32 format version follows the 8-byte magic
-  ASSERT_TRUE(WriteFileBytes(manifest_path, bytes));
-  ::testing::internal::CaptureStderr();
-  auto [second, second_resumed] = RunOnce(dir.path());
-  std::string log = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(log.find("format version skew: file has v1"), std::string::npos) << log;
-  EXPECT_EQ(second_resumed, 0u);
-  EXPECT_EQ(first, second);
+// Older formats are refused as version skew and the run starts fresh: v1
+// could name headerless record files this build no longer reads, and v2
+// kept pair progress by partition versions, with segment maps. The
+// checksum covers only the payload, so the version is each manifest's sole
+// defect.
+TEST_F(CheckpointEngineTest, OlderManifestsAreRefusedAsVersionSkew) {
+  for (uint8_t version : {1, 2}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    TempDir dir("ckpt-old");
+    auto [first, first_resumed] = RunOnce(dir.path());
+    EXPECT_EQ(first_resumed, 0u);
+    std::string manifest_path = CheckpointManifestPath(dir.path());
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(ReadFileBytes(manifest_path, &bytes));
+    ASSERT_EQ(bytes[8], kCheckpointFormatVersion);
+    bytes[8] = version;  // the fixed32 format version follows the 8-byte magic
+    ASSERT_TRUE(WriteFileBytes(manifest_path, bytes));
+    ::testing::internal::CaptureStderr();
+    auto [second, second_resumed] = RunOnce(dir.path());
+    std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("format version skew: file has v" + std::to_string(version)),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(second_resumed, 0u);
+    EXPECT_EQ(first, second);
+  }
 }
 
 TEST_F(CheckpointEngineTest, TruncatedPartitionFileFallsBackToCleanRestart) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -131,6 +132,76 @@ TEST_F(EngineTest, OverBudgetPairReachesItsFixpoint) {
   obs::MetricsSnapshot m = engine.Metrics();
   EXPECT_EQ(m.GaugeOr("engine_timed_out", -1), 0.0);
   EXPECT_GT(m.GaugeOr("engine_peak_resident_bytes"), 16.0);
+}
+
+// Pair progress survives a split and an early stop: a run whose only pair
+// splits at write-back, and one whose only pair stops early over budget
+// again and again, each run exactly the joins of the same graph in one
+// in-memory partition and produce the same closure, payloads included.
+// (Both used to redo their finished joins: a split cleared every pair's
+// progress and an early stop erased its own.)
+class PairProgressTest : public EngineTest {
+ protected:
+  using Closure = std::set<std::tuple<VertexId, VertexId, Label, std::vector<uint8_t>>>;
+
+  Closure Run(const std::vector<std::tuple<VertexId, VertexId, PathEncoding>>& edges,
+              VertexId num_vertices, uint64_t budget, obs::MetricsSnapshot* metrics) {
+    TempDir dir("engine-progress");
+    IntervalOracle oracle(&icfet_);
+    EngineOptions options;
+    options.work_dir = dir.path();
+    options.memory_budget_bytes = budget;
+    options.max_seconds = 10;
+    GraphEngine engine(&grammar_, &oracle, options);
+    RunAndCollectPaths(&engine, edges, num_vertices);
+    Closure closure;
+    engine.ForEachEdge([&](const EdgeRecord& e) {
+      closure.insert({e.src, e.dst, e.label, e.payload});
+    });
+    *metrics = engine.Metrics();
+    EXPECT_EQ(metrics->GaugeOr("engine_timed_out", -1), 0.0);
+    return closure;
+  }
+};
+
+TEST_F(PairProgressTest, SplitAtWriteBackRedoesNoJoin) {
+  // A 24-vertex chain: its base edges fit one partition of budget/4, and
+  // its closure outgrows twice that at write-back but never the budget
+  // while resident.
+  std::vector<std::tuple<VertexId, VertexId, PathEncoding>> edges;
+  for (VertexId v = 0; v + 1 < 24; ++v) {
+    edges.emplace_back(v, v + 1, PathEncoding::Empty());
+  }
+  obs::MetricsSnapshot in_memory;
+  obs::MetricsSnapshot split;
+  Closure reference = Run(edges, 24, uint64_t{64} << 20, &in_memory);
+  Closure got = Run(edges, 24, 4096, &split);
+  EXPECT_EQ(got, reference);
+  EXPECT_GT(split.CounterOr("engine_partition_splits_total"), 0u);
+  EXPECT_EQ(split.CounterOr("engine_pair_loads_total"), 1u);
+  EXPECT_EQ(split.CounterOr("engine_joins_attempted_total"),
+            in_memory.CounterOr("engine_joins_attempted_total"));
+}
+
+TEST_F(PairProgressTest, EarlyStopKeepsItsJoins) {
+  // One vertex, so its partition cannot split: self-loops with distinct
+  // satisfiable payloads whose compositions are new variants until the
+  // (0, 0, path) triple widens. A 16-byte budget stops the pair after every
+  // round that adds an edge.
+  std::vector<std::tuple<VertexId, VertexId, PathEncoding>> edges;
+  for (CfetNodeId k = 1; k <= 4; ++k) {
+    edges.emplace_back(0, 0, PathEncoding::Interval(100 + k, 0, 0));
+  }
+  obs::MetricsSnapshot in_memory;
+  obs::MetricsSnapshot stopped;
+  Closure reference = Run(edges, 1, uint64_t{64} << 20, &in_memory);
+  Closure got = Run(edges, 1, 16, &stopped);
+  EXPECT_EQ(got, reference);
+  EXPECT_EQ(in_memory.CounterOr("engine_pair_loads_total"), 1u);
+  EXPECT_GT(stopped.CounterOr("engine_pair_loads_total"), 1u);
+  EXPECT_EQ(stopped.CounterOr("engine_partition_splits_total"), 0u);
+  EXPECT_EQ(stopped.CounterOr("engine_joins_attempted_total"),
+            in_memory.CounterOr("engine_joins_attempted_total"));
 }
 
 TEST_F(EngineTest, UnsatisfiableCompositionIsPruned) {
@@ -379,8 +450,10 @@ TEST_F(EngineTest, ExplicitOracleMemoIsExact) { ExpectMemoIsExact<ExplicitOracle
 
 // Join rounds: four shards probe concurrently, each sweeping every pair of
 // the payload set (so every pair misses in every shard in the first round).
-// The commit counts each distinct pair once, the shards' results agree with
-// a sequential oracle byte for byte, and the second round is all hits.
+// The round's solve step, split over four threads, solves each distinct
+// pair once: the oracle_solve_ns histogram holds one sample per checked
+// pair. The shards' outcomes agree with a sequential oracle byte for byte,
+// and the second round is all hits with nothing to solve.
 TEST_F(EngineTest, ShardedRoundsSolveEachDistinctPairOnce) {
   IntervalOracle sharded(&icfet_);
   IntervalOracle sequential(&icfet_);
@@ -399,41 +472,59 @@ TEST_F(EngineTest, ShardedRoundsSolveEachDistinctPairOnce) {
       distinct.insert({ids[i], ids[j]});
     }
   }
-  for (int round = 0; round < 2; ++round) {
-    sharded.BeginRound(kShards);
-    std::vector<std::vector<uint32_t>> tokens(kShards);
+  auto in_parallel = [&](const std::function<void(size_t)>& fn) {
     std::vector<std::thread> threads;
     for (size_t shard = 0; shard < kShards; ++shard) {
-      threads.emplace_back([&, shard] {
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < n; ++j) {
-            tokens[shard].push_back(sharded.Merge(shard, ids[i], ids[j]));
-          }
-        }
-      });
+      threads.emplace_back(fn, shard);
     }
     for (auto& thread : threads) {
       thread.join();
     }
-    sharded.CommitRound();
+  };
+  for (int round = 0; round < 2; ++round) {
+    sharded.BeginRound(kShards);
+    std::vector<std::vector<uint32_t>> tokens(kShards);
+    in_parallel([&](size_t shard) {
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          tokens[shard].push_back(sharded.Merge(shard, ids[i], ids[j]));
+        }
+      }
+    });
+    size_t misses = sharded.CollectMisses();
+    EXPECT_EQ(misses, round == 0 ? distinct.size() : 0u);
+    size_t per_shard = (misses + kShards - 1) / kShards;
+    in_parallel([&](size_t shard) {
+      sharded.SolveMisses(shard, std::min(misses, shard * per_shard),
+                          std::min(misses, (shard + 1) * per_shard));
+    });
+    uint64_t unsat_pending = sharded.CommitRound();
+    uint64_t unsat_joins = 0;
     for (size_t shard = 0; shard < kShards; ++shard) {
       size_t k = 0;
       for (size_t i = 0; i < n; ++i) {
         for (size_t j = 0; j < n; ++j, ++k) {
           uint32_t token = tokens[shard][k];
+          EXPECT_EQ(ConstraintOracle::IsPending(token), round == 0);
+          uint32_t outcome = sharded.Resolve(shard, token);
           uint32_t expected = sequential.MergeAndCheck(seq_ids[i], seq_ids[j]);
-          ASSERT_EQ(token == ConstraintOracle::kUnsat, expected == ConstraintOracle::kUnsat);
-          if (token != ConstraintOracle::kUnsat) {
-            ASSERT_EQ(BytesOf(sharded, sharded.Resolve(shard, token)),
-                      BytesOf(sequential, expected));
+          ASSERT_EQ(outcome == ConstraintOracle::kUnsat, expected == ConstraintOracle::kUnsat);
+          if (outcome == ConstraintOracle::kUnsat) {
+            ++unsat_joins;
+          } else {
+            ASSERT_EQ(BytesOf(sharded, outcome), BytesOf(sequential, expected));
           }
         }
       }
     }
+    // Every unsat Merge of the first round was a pending miss.
+    EXPECT_EQ(unsat_pending, round == 0 ? unsat_joins : 0u);
+    EXPECT_GT(unsat_joins, 0u);
     obs::MetricsSnapshot m = sharded.Metrics();
     uint64_t merges = (round + 1) * kShards * n * n;
     EXPECT_EQ(m.CounterOr("oracle_merges_total"), merges);
     EXPECT_EQ(m.CounterOr("oracle_constraints_checked_total"), distinct.size());
+    EXPECT_EQ(m.histograms.at("oracle_solve_ns").count, distinct.size());
     EXPECT_EQ(m.CounterOr("oracle_cache_hits_total"), merges - distinct.size());
     EXPECT_EQ(m.CounterOr("oracle_unsat_total"),
               sequential.Metrics().CounterOr("oracle_unsat_total"));

@@ -158,7 +158,7 @@ TEST(IoPipelineTest, PipelinedStoreMatchesSynchronousStore) {
     EXPECT_EQ(sync_store.Info(p).hi, pipe_store.Info(p).hi);
     EXPECT_EQ(sync_store.Info(p).bytes, pipe_store.Info(p).bytes);
     EXPECT_EQ(sync_store.Info(p).version, pipe_store.Info(p).version);
-    EXPECT_EQ(sync_store.Info(p).segments, pipe_store.Info(p).segments);
+    EXPECT_EQ(sync_store.Info(p).edges, pipe_store.Info(p).edges);
     EXPECT_TRUE(SameEdges(sync_store.Load(p), pipe_store.Load(p)))
         << "partition " << p << " diverged";
   }

@@ -123,41 +123,62 @@ TEST_F(PartitionStoreTest, SingleVertexIntervalNeverSplits) {
   EXPECT_EQ(store_.NumPartitions(), 1u);
 }
 
-TEST_F(PartitionStoreTest, EdgesAtVersionTracksHistory) {
-  store_.Initialize({MakeEdge(0, 1, 1), MakeEdge(1, 2, 1)}, 8, 1 << 20);
-  uint64_t v1 = store_.Info(0).version;
-  EXPECT_EQ(store_.EdgesAtVersion(0, v1), 2u);
-  EXPECT_EQ(store_.EdgesAtVersion(0, v1 - 1), 0u);  // before recorded history
-
-  store_.Append(0, {MakeEdge(2, 3, 1)});
-  uint64_t v2 = store_.Info(0).version;
-  EXPECT_EQ(store_.EdgesAtVersion(0, v1), 2u);
-  EXPECT_EQ(store_.EdgesAtVersion(0, v2), 3u);
-
-  // Rewrite preserving the prefix and adding one edge.
-  auto edges = store_.Load(0);
-  edges.push_back(MakeEdge(3, 4, 1));
-  store_.Rewrite(0, edges);
-  uint64_t v3 = store_.Info(0).version;
-  EXPECT_EQ(store_.EdgesAtVersion(0, v2), 3u);
-  EXPECT_EQ(store_.EdgesAtVersion(0, v3), 4u);
-  // Queries beyond the latest version see the full count.
-  EXPECT_EQ(store_.EdgesAtVersion(0, v3 + 10), 4u);
+// (src, dst) of each edge, in order.
+std::vector<std::pair<VertexId, VertexId>> Order(const std::vector<EdgeRecord>& edges) {
+  std::vector<std::pair<VertexId, VertexId>> order;
+  for (const auto& edge : edges) {
+    order.emplace_back(edge.src, edge.dst);
+  }
+  return order;
 }
 
-TEST_F(PartitionStoreTest, SplitResetsHistory) {
+// A partition's first n edges stay its first n edges: Append adds at the
+// end, and a rewrite stores exactly the order it is given.
+TEST_F(PartitionStoreTest, AppendAndRewriteKeepEdgeOrder) {
+  store_.Initialize({MakeEdge(0, 1, 1), MakeEdge(1, 2, 1)}, 8, 1 << 20);
+  auto before = Order(store_.Load(0));
+  store_.Append(0, {MakeEdge(0, 7, 1)});
+  auto edges = store_.Load(0);
+  ASSERT_EQ(edges.size(), 3u);
+  EXPECT_EQ(Order({edges.begin(), edges.begin() + 2}), before);
+  EXPECT_EQ(Order({edges.back()}), Order({MakeEdge(0, 7, 1)}));
+
+  edges.push_back(MakeEdge(0, 3, 1));
+  store_.Rewrite(0, edges);
+  EXPECT_EQ(Order(store_.Load(0)), Order(edges));
+  EXPECT_EQ(store_.Info(0).edges, 4u);
+}
+
+// A split moves each edge into the piece owning its source, keeping the
+// caller's order inside the piece, also when a piece spans several
+// vertices with several edges each.
+TEST_F(PartitionStoreTest, SplitKeepsCallerOrderWithinEachPiece) {
   std::vector<EdgeRecord> edges;
   for (VertexId v = 0; v < 64; ++v) {
     edges.push_back(MakeEdge(v, v, 1, 64));
   }
   store_.Initialize(edges, 64, 1 << 20);
-  uint64_t v_before = store_.Info(0).version;
-  auto all = store_.Load(0);
-  ASSERT_GT(store_.SplitAndRewrite(0, all, 1024), 1u);
-  // Post-split pieces have fresh history: old versions resolve to 0.
-  for (size_t p = 0; p < store_.NumPartitions(); ++p) {
-    EXPECT_EQ(store_.EdgesAtVersion(p, v_before), 0u);
-    EXPECT_EQ(store_.EdgesAtVersion(p, store_.Info(p).version), store_.Info(p).edges);
+  ASSERT_EQ(store_.NumPartitions(), 1u);
+  // Descending sources, three edges per vertex with descending targets.
+  std::vector<EdgeRecord> order;
+  for (VertexId v = 64; v-- > 0;) {
+    for (VertexId d = 3; d-- > 0;) {
+      order.push_back(MakeEdge(v, d, 1, 64));
+    }
+  }
+  size_t pieces = store_.SplitAndRewrite(0, order, /*target_bytes=*/1024);
+  ASSERT_GT(pieces, 1u);
+  ASSERT_EQ(store_.NumPartitions(), pieces);
+  for (size_t p = 0; p < pieces; ++p) {
+    std::vector<EdgeRecord> expected;
+    for (const auto& edge : order) {
+      if (edge.src >= store_.Info(p).lo && edge.src < store_.Info(p).hi) {
+        expected.push_back(edge);
+      }
+    }
+    EXPECT_GT(expected.size(), 3u) << "piece " << p;
+    EXPECT_EQ(Order(store_.Load(p)), Order(expected)) << "piece " << p;
+    EXPECT_EQ(store_.Info(p).edges, expected.size());
   }
 }
 
